@@ -54,9 +54,21 @@ from repro.sharc.checker import check_source
 from repro.runtime.interp import run_checked
 
 
+class InputError(Exception):
+    """An input file could not be read; ``main`` turns it into a
+    one-line diagnostic and exit code 2."""
+
+
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from None
 
 
 def _trace_config(args: argparse.Namespace):
@@ -810,11 +822,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     )
     from repro.sharc.reports import Report
 
-    payload = None
     try:
-        with open(args.artifact, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError):
+        payload = json.loads(_read(args.artifact))
+    except json.JSONDecodeError:
         payload = None
     if isinstance(payload, dict) and payload.get("kind") == \
             "sharc-schedule":
@@ -1183,7 +1193,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """The compiled executor: an :class:`~repro.runtime.interp.Interp`
-whose user-function bodies run as pre-compiled closures.
+whose user-function bodies run as generated Python
+(:mod:`repro.compile.codegen`).
 
-Only ``call_function`` is overridden.  Everything else — scheduler,
+Only function entry is overridden (``call_function`` and the thread
+and main bodies).  Everything else — scheduler,
 shadow memory, lock table, RC scheme, RNG streams, tracing bus, global
 initialization, builtins — is the inherited machinery, shared verbatim
 with the tree-walker, which is what makes compiled runs bit-identical
@@ -14,16 +16,13 @@ so the rest of the program stays compiled.
 
 from __future__ import annotations
 
-from repro.errors import InterpError
 from repro.cfront import cast as A
 from repro.runtime.addrspace import PAGE_SIZE
 from repro.runtime.interp import Frame, Interp, ThreadExit
 from repro.runtime.scheduler import Thread
 from repro.sharc.checker import CheckedProgram
 
-from repro.compile.closures import (
-    CompiledProgram, _Return, compile_program,
-)
+from repro.compile.closures import CompiledProgram, compile_program
 
 
 class CompiledInterp(Interp):
@@ -112,23 +111,15 @@ class CompiledInterp(Interp):
             result = yield from Interp.call_function(self, thread, func,
                                                      args)
             return result
-        if func.body is None:
-            raise InterpError(
-                f"call of undefined function {func.name!r}", func.loc)
         frame = self._push_frame(thread, cf, args)
         try:
-            # Codegen-tier bodies use plain ``return`` (the value rides
-            # the StopIteration and is the call result); closure-tier
-            # bodies raise ``_Return``, and their fallthrough value is
-            # an internal CE artifact — discard it, completion means 0.
-            if cf.body_is_gen:
+            # A generator body's ``return`` value rides the
+            # StopIteration; a body without a scheduling point is a
+            # plain function returning it.
+            if cf.direct:
                 result = yield from cf.body(self, thread, frame)
             else:
                 result = cf.body(self, thread, frame)
-            if cf.tier != "codegen":
-                result = 0
-        except _Return as ret:
-            result = ret.value
         finally:
             self._pop_frame(thread, frame)
         return result

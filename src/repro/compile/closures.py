@@ -1,275 +1,23 @@
-"""AST -> closure compiler: the compiled execution backend.
+"""Whole-program compilation for the compiled backend.
 
-The tree-walking interpreter (:mod:`repro.runtime.interp`) re-dispatches
-on every node visit: a dict lookup, a chain of int compares, and a fresh
-generator frame per subexpression.  This module walks each function body
-*once*, at compile time, and emits one Python closure per
-statement/expression with everything static baked in:
+:class:`ProgramCompiler` hands every defined function to the one compile
+tier, :class:`~repro.compile.codegen.FunctionCodegen`; a function it
+refuses is recorded in :attr:`CompiledProgram.failed` and runs under the
+inherited tree-walker (:class:`repro.compile.backend.CompiledInterp`),
+which is bit-identical by construction, just slower.
 
-- variable slots resolved to frame-slab offsets (locals) or one
-  ``globals_env`` lookup (globals) — no per-access environment probing;
-- access sizes, pointer-arithmetic scales, struct member offsets, and
-  cast conversions precomputed from the (static) types;
-- check sites specialized from the static marks and inlined into the
-  accessing closure: ``elide`` sites compile to the bare operation plus
-  the ``recheck`` guard, ``range`` sites call
-  ``chkread_range``/``chkwrite_range`` directly, ``locked(l)``-refined
-  sites go straight to the ``recheck_locked`` probe, and plain dynamic
-  sites call an inlined ``_dynamic_check`` body with the
-  :class:`~repro.sharc.typecheck.AccessInfo` constants folded in;
-- pure subtrees (no scheduling point, no possible ``InterpError``)
-  collapse into plain function calls with their step-cost charged as a
-  single batched increment — no generator machinery at all.
-
-The contract is *bit-identity* with the tree-walker: same
-``steps_total`` at every yield, same reports, same scheduler RNG
-consumption, same traces, for every seed/policy/ablation.  The compiler
-therefore mirrors the interpreter's cost model to the tick (every
-``eval_expr``/``eval_lvalue`` entry charges 1, check charges, flush
-yields on memory accesses and loop back-edges) and its exact raise
-points.  Anything exotic falls back: individual nodes can delegate to
-the interpreter's own generator methods (sharing cast, struct
-assignment), and a function whose compilation fails at all runs under
-the inherited tree-walker (see :class:`repro.compile.backend
-.CompiledInterp`), which is bit-identical by construction.
-
-Tick-batching safety rule: a closure may pre-charge a constant tick
-count only if nothing inside it can raise or observe the clock (no
-``InterpError`` raise points, no bus emission, no yield).  Division,
-null-pointer checks, unknown identifiers, and rc-tracked writes instead
-self-tick in evaluation order, so an aborted run's ``steps_total``
-matches the interpreter's exactly.
+The module name no longer describes its contents; it stays because
+``repro.compile.closures.compile_program`` is an entry point that other
+code imports and instruments by that name: the campaign workers, and
+``perfbench``'s compile spans, which also read ``CompiledFunction.tier``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import InterpError
-from repro.cfront import cast as A
-from repro.obs.events import CAT_CHECK
-from repro.runtime.builtins import IMPLS
 from repro.sharc.checker import CheckedProgram
-from repro.sharc.reports import Access, read_conflict, write_conflict
-from repro.runtime.interp import (  # noqa: F401 (re-exported tags)
-    Interp, _Break, _Continue, _Return, _truthy, frame_layout,
-    _EXPR_KIND, _STMT_KIND, _BINOP_K,
-    _E_LIT, _E_NULL, _E_STR, _E_SIZEOF, _E_IDENT, _E_MEMBER, _E_INDEX,
-    _E_UNOP, _E_BINOP, _E_ASSIGN, _E_CALL, _E_CAST, _E_SCAST, _E_COND,
-    _E_COMMA,
-    _S_COMPOUND, _S_DECL, _S_EXPR, _S_IF, _S_WHILE, _S_DOWHILE, _S_FOR,
-    _S_RETURN, _S_BREAK, _S_CONTINUE,
-    _B_ANDAND, _B_OROR, _B_ADD, _B_SUB, _B_MUL, _B_DIV, _B_MOD, _B_EQ,
-    _B_NE, _B_LT, _B_GT, _B_LE, _B_GE, _B_BAND, _B_BOR, _B_XOR, _B_SHL,
-    _B_SHR,
-)
-
-
-class CompileError(Exception):
-    """This function can't be compiled; run it under the tree-walker."""
-
-
-# -- compiled-expression representation ------------------------------------
-#
-# ``expr``/``lvalue``/``stmt`` return a CE triple ``(tag, n, fn)``:
-#
-#   (PURE, n:int, fn)   fn(I, th, fr) -> value, *raw*: charges no ticks,
-#                       cannot raise, no scheduling point.  The caller
-#                       batch-charges the constant ``n`` ticks.
-#   (PURE, None, fn)    fn(I, th, fr) -> value, self-ticking: charges its
-#                       own ticks in evaluation order (it may raise
-#                       InterpError mid-way, so order matters).
-#   (GENF, None, fn)    fn(I, th, fr) is a generator (contains at least
-#                       one scheduling point); self-ticking.
-
-PURE, GENF = 0, 1
-
-
-def _caller(ce):
-    """A self-contained self-ticking callable from any PURE CE."""
-    tag, n, fn = ce
-    if tag != PURE:
-        raise CompileError("generator CE used in pure context")
-    if n is None:
-        return fn
-
-    def call(I, th, fr):
-        I._pending += n
-        I.stats.steps_total += n
-        return fn(I, th, fr)
-    return call
-
-
-def _embed(ce):
-    """``(is_gen, fn)`` with fn self-ticking — for use inside
-    generators: ``v = (yield from fn(...)) if is_gen else fn(...)``."""
-    tag, n, fn = ce
-    if tag == GENF:
-        return True, fn
-    return False, _caller(ce)
-
-
-def _raiser(n, msg, loc):
-    """A node that always raises, after charging the interpreter's
-    entry ticks for the path leading to the raise."""
-    def f(I, th, fr):
-        I._pending += n
-        I.stats.steps_total += n
-        raise InterpError(msg, loc)
-    return (PURE, None, f)
-
-
-# -- check sites -----------------------------------------------------------
-
-def _make_dyn_check(info, size, is_write):
-    """``Interp._dynamic_check`` with one AccessInfo's constants folded
-    in: branch structure, counter order, costs, and bus payloads are
-    replicated exactly (the static marks decide at compile time which
-    guards are even reachable; the runtime ablation switches
-    ``I.checkelim``/``I.lockset``/``I.absint`` are still consulted)."""
-    elide = info.elide
-    refined = info.lockset_refined
-    rlock = info.refined_lock
-    range_walk = info.range_walk
-    ai_elide = info.ai_elide
-    ai_range = info.ai_range
-    lvtext = info.lvalue_text
-    loc = info.loc
-    skey = info.site_key_w if is_write else info.site_key_r
-    op = "chkwrite" if is_write else "chkread"
-    make_report = write_conflict if is_write else read_conflict
-
-    def dyn(I, th, addr):
-        stats = I.stats
-        stats.accesses_dynamic += 1
-        site = stats.sites.get(skey)
-        if site is None:
-            site = stats.sites[skey] = [0] * 9
-        tid = th.tid
-        if I.sched.live_count <= 1:
-            site[0] += 1  # solo
-            site[8] += 1  # cost
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            return
-        shadow = I.shadow
-        if elide and I.checkelim \
-                and shadow.recheck(addr, size, tid, is_write):
-            stats.checks_elided += 1
-            site[3] += 1  # elided
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, elided=True, lvalue=lvtext)
-            return
-        if refined and I.lockset \
-                and I.locks.holds_for_access(
-                    tid, I.globals_env.get(rlock, -1), is_write) \
-                and shadow.recheck_locked(addr, size, tid, is_write,
-                                          lvtext, loc):
-            stats.checks_locked_refined += 1
-            site[4] += 1  # locked
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, locked=True, lvalue=lvtext)
-            return
-        if ai_elide and I.absint \
-                and shadow.recheck(addr, size, tid, is_write):
-            stats.checks_ai_elided += 1
-            site[5] += 1  # ai
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, ai=True, lvalue=lvtext)
-            return
-        if (range_walk and I.checkelim) or (ai_range and I.absint):
-            chk = shadow.chkwrite_range if is_write else shadow.chkread_range
-            stats.checks_range += 1
-            site[2] += 1  # range
-        else:
-            chk = shadow.chkwrite if is_write else shadow.chkread
-            stats.checks_full += 1
-            site[1] += 1  # full
-        conflict, slow = chk(addr, size, tid, lvtext, loc)
-        if slow:
-            site[6] += 1  # miss
-        if conflict is not None:
-            site[7] += 1  # conflicts
-            who = Access(tid, lvtext, loc)
-            hist = (I.history.provenance(addr, size)
-                    if I.history is not None else ())
-            I._report(make_report(addr, who, conflict.as_access(), hist))
-        if I.history is not None:
-            I.history.record(addr, size, tid, lvtext, loc, is_write,
-                             stats.steps_total)
-        cost = 1 + 3 * slow
-        site[8] += cost
-        I._pending += cost
-        stats.steps_total += cost
-        stats.steps_checks += cost
-        if I.bus is not None:
-            I.bus.emit(CAT_CHECK, op, tid, dur=cost, hit=(slow == 0),
-                       conflict=conflict is not None, lvalue=lvtext)
-    return dyn
-
-
-# -- per-function compiler -------------------------------------------------
-
-@dataclass
-class CompiledFunction:
-    """One function body, closed over its static facts.  The frame
-    prologue (``CompiledInterp.call_function``) is precomputed too:
-    name->slot items, parameter slots with their rc flags, and the
-    rc-tracked slot offsets in the same set-iteration order the
-    interpreter's ``_make_frame`` produces (same strings inserted in
-    the same order hash identically within one process)."""
-
-    func: A.FuncDef
-    offsets: dict[str, int]
-    slab_size: int
-    rc_tracked: set = field(default_factory=set)
-    env_items: tuple = ()
-    #: [(offset, rc_tracked?)] per parameter, in order
-    param_slots: list = field(default_factory=list)
-    rc_offs: list = field(default_factory=list)
-    #: does any closure consult ``frame.env`` (lock-expression
-    #: evaluation, tree-walker delegation)?  If not, the prologue can
-    #: skip populating the dict entirely.
-    needs_env: bool = True
-    #: which compile tier produced the body: "codegen" (flattened
-    #: source, one generator frame per activation) or "closures"
-    tier: str = "closures"
-    #: generated Python source, kept for codegen-tier debugging
-    source: str = ""
-    #: codegen-tier generator body using the plain-``return`` result
-    #: protocol — eligible for inlined call sites (no ``call_function``
-    #: frame between caller and callee)
-    direct: bool = False
-    body = None
-    body_is_gen: bool = False
+from repro.compile.codegen import CompiledFunction, FunctionCodegen
 
 
 @dataclass
@@ -279,1236 +27,6 @@ class CompiledProgram:
     #: tree-walker (bit-identical by construction, just slower)
     failed: dict[str, str] = field(default_factory=dict)
 
-
-class FunctionCompiler:
-    """Compiles one function body into nested closures."""
-
-    _COMPOUND = Interp._COMPOUND
-
-    def __init__(self, pc: "ProgramCompiler", func: A.FuncDef) -> None:
-        self.pc = pc
-        self.structs = pc.structs
-        self.functions = pc.functions
-        self.global_names = pc.global_names
-        self.func = func
-        self.offsets, self.slab_size = frame_layout(func, pc.structs)
-        #: set True when a closure needs ``frame.env`` populated
-        self.needs_env = False
-
-    def compile(self) -> CompiledFunction:
-        tracked = set(getattr(self.func, "rc_locals", []))
-        cf = CompiledFunction(self.func, self.offsets, self.slab_size,
-                              tracked)
-        cs = self.stmt(self.func.body)
-        cf.body_is_gen, cf.body = _embed(cs)
-        cf.env_items = tuple(self.offsets.items())
-        cf.param_slots = [(self.offsets[name], name in tracked)
-                          for name in self.func.param_names]
-        cf.rc_offs = [self.offsets[n] for n in tracked
-                      if n in self.offsets]
-        cf.needs_env = self.needs_env
-        return cf
-
-    # -- static facts ------------------------------------------------------
-
-    def _sizeof(self, node: A.Expr) -> int:
-        """Replicates ``Interp._sizeof_node`` (incl. its fallbacks)."""
-        qt = node.ctype
-        if qt is None:
-            return 8
-        try:
-            return qt.base.size(self.structs)
-        except KeyError:
-            return 8
-
-    def _ptr_scale(self, qt) -> int:
-        if qt is None:
-            return 1
-        if qt.is_pointer or qt.is_array:
-            return qt.pointee().base.size(self.structs)
-        return 1
-
-    def _is_array(self, e: A.Expr) -> bool:
-        qt = e.ctype
-        return qt is not None and qt.is_array
-
-    # -- combinators -------------------------------------------------------
-
-    def _combine(self, entry, ces, apply, raising=False):
-        """Evaluate ``ces`` in order, then ``apply(*values)``; charges
-        ``entry`` ticks for the combining node itself.  Collapses to a
-        raw const-tick closure when every operand is const and the
-        apply cannot raise."""
-        tags = [c[0] for c in ces]
-        if GENF not in tags:
-            ns = [c[1] for c in ces]
-            if all(n is not None for n in ns):
-                total = entry + sum(ns)
-                raws = [c[2] for c in ces]
-                if len(raws) == 1:
-                    f0 = raws[0]
-                    if not raising:
-                        return (PURE, total,
-                                lambda I, th, fr: apply(f0(I, th, fr)))
-
-                    def pf(I, th, fr):
-                        I._pending += total
-                        I.stats.steps_total += total
-                        return apply(f0(I, th, fr))
-                    return (PURE, None, pf)
-                if len(raws) == 2:
-                    f0, f1 = raws
-                    if not raising:
-                        return (PURE, total,
-                                lambda I, th, fr: apply(f0(I, th, fr),
-                                                        f1(I, th, fr)))
-
-                    def pf(I, th, fr):
-                        I._pending += total
-                        I.stats.steps_total += total
-                        return apply(f0(I, th, fr), f1(I, th, fr))
-                    return (PURE, None, pf)
-                if not raising:
-                    return (PURE, total, lambda I, th, fr: apply(
-                        *[f(I, th, fr) for f in raws]))
-
-                def pf(I, th, fr):
-                    I._pending += total
-                    I.stats.steps_total += total
-                    return apply(*[f(I, th, fr) for f in raws])
-                return (PURE, None, pf)
-            callers = [_caller(c) for c in ces]
-
-            def pf(I, th, fr):
-                I._pending += entry
-                I.stats.steps_total += entry
-                return apply(*[c(I, th, fr) for c in callers])
-            return (PURE, None, pf)
-        embeds = [_embed(c) for c in ces]
-        if len(embeds) == 1:
-            isg0, f0 = embeds[0]
-
-            def g(I, th, fr):
-                I._pending += entry
-                I.stats.steps_total += entry
-                a = (yield from f0(I, th, fr)) if isg0 \
-                    else f0(I, th, fr)
-                return apply(a)
-            return (GENF, None, g)
-        if len(embeds) == 2:
-            (isg0, f0), (isg1, f1) = embeds
-
-            def g(I, th, fr):
-                I._pending += entry
-                I.stats.steps_total += entry
-                a = (yield from f0(I, th, fr)) if isg0 \
-                    else f0(I, th, fr)
-                b = (yield from f1(I, th, fr)) if isg1 \
-                    else f1(I, th, fr)
-                return apply(a, b)
-            return (GENF, None, g)
-
-        def g(I, th, fr):
-            I._pending += entry
-            I.stats.steps_total += entry
-            vals = []
-            for isg, f in embeds:
-                vals.append((yield from f(I, th, fr)) if isg
-                            else f(I, th, fr))
-            return apply(*vals)
-        return (GENF, None, g)
-
-    def _delegate(self, e: A.Expr):
-        """Run this node (and its whole subtree) under the inherited
-        tree-walker — bit-identical, for rare/complex nodes (sharing
-        casts, struct assignment).  Nested calls still dispatch through
-        the overridden ``call_function``, so callees stay compiled."""
-        self.needs_env = True
-
-        def g(I, th, fr):
-            v = yield from I.eval_expr(e, th, fr)
-            return v
-        return (GENF, None, g)
-
-    # -- l-values ----------------------------------------------------------
-
-    def lvalue(self, e: A.Expr):
-        k = _EXPR_KIND.get(e.__class__, -1)
-        if k == _E_IDENT:
-            name = e.name
-            if name in self.offsets:
-                off = self.offsets[name]
-                return (PURE, 1, lambda I, th, fr: fr.slab + off)
-            if name in self.global_names:
-                return (PURE, 1,
-                        lambda I, th, fr: I.globals_env[name])
-            return _raiser(1, f"no storage for {name!r}", e.loc)
-        if k == _E_UNOP and e.op == "*":
-            loc = e.loc
-
-            def deref(v):
-                if not v:
-                    raise InterpError("null pointer dereference", loc)
-                return int(v)
-            return self._combine(1, [self.expr(e.operand)], deref,
-                                 raising=True)
-        if k == _E_MEMBER:
-            offset = getattr(e, "sharc_offset", None)
-            if offset is None:
-                return _raiser(
-                    1, f"member {e.name!r} was not resolved statically",
-                    e.loc)
-            base_ce = (self.expr(e.obj) if e.arrow
-                       else self.lvalue(e.obj))
-            loc = e.loc
-
-            def member(base):
-                if not base:
-                    raise InterpError("null pointer dereference", loc)
-                return int(base) + offset
-            return self._combine(1, [base_ce], member, raising=True)
-        if k == _E_INDEX:
-            elem_size = getattr(e, "sharc_elem_size", None)
-            if elem_size is None:
-                return _raiser(1, "index was not resolved statically",
-                               e.loc)
-            base_ce = (self.lvalue(e.arr)
-                       if getattr(e, "sharc_on_array", False)
-                       else self.expr(e.arr))
-            idx_ce = self.expr(e.idx)
-            loc = e.loc
-
-            def index(base, idx):
-                if not base:
-                    raise InterpError("null pointer indexing", loc)
-                return int(base) + int(idx) * elem_size
-            return self._combine(1, [base_ce, idx_ce], index,
-                                 raising=True)
-        return _raiser(1, f"not an l-value: {type(e).__name__}", e.loc)
-
-    # -- reads through an l-value ------------------------------------------
-
-    def _read_access_gen(self, e: A.Expr, lv_ce, local_off=None,
-                         global_name=None):
-        """rvalue use of a non-register, non-array l-value node: entry
-        tick + address + checked read, the whole ``_do_read`` sequence
-        inlined into ONE generator (no separate check-site frame).
-        ``local_off``/``global_name`` specialize the address
-        computation past the closure call."""
-        size = self._sizeof(e)
-        loc = e.loc
-        node = e
-        info = getattr(e, "sharc_read", None)
-        if info is not None and info.is_lock:
-            self.needs_env = True  # lock expr evaluates in frame.env
-
-            def g(I, th, fr):
-                I._pending += 2
-                I.stats.steps_total += 2
-                addr = (fr.slab + local_off if local_off is not None
-                        else I.globals_env[global_name])
-                st = I.stats
-                st.accesses_total += 1
-                st.reads += 1
-                if I.eraser is not None:
-                    I._eraser_access(node, addr, size, th, False)
-                if I.instrument:
-                    yield from I._lock_check(info, addr, size, th, fr,
-                                             False)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-                return I.space.read(addr, loc)
-
-            def g_dyn(I, th, fr):
-                I._pending += 1
-                I.stats.steps_total += 1
-                addr = yield from lv_fn(I, th, fr)
-                st = I.stats
-                st.accesses_total += 1
-                st.reads += 1
-                if I.eraser is not None:
-                    I._eraser_access(node, addr, size, th, False)
-                if I.instrument:
-                    yield from I._lock_check(info, addr, size, th, fr,
-                                             False)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-                return I.space.read(addr, loc)
-            if local_off is not None or global_name is not None:
-                return (GENF, None, g)
-            lv_isg, lv_f = _embed(lv_ce)
-            if lv_isg:
-                lv_fn = lv_f
-                return (GENF, None, g_dyn)
-
-            def g_pure(I, th, fr):
-                I._pending += 1
-                I.stats.steps_total += 1
-                addr = lv_f(I, th, fr)
-                st = I.stats
-                st.accesses_total += 1
-                st.reads += 1
-                if I.eraser is not None:
-                    I._eraser_access(node, addr, size, th, False)
-                if I.instrument:
-                    yield from I._lock_check(info, addr, size, th, fr,
-                                             False)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-                return I.space.read(addr, loc)
-            return (GENF, None, g_pure)
-        dyn = _make_dyn_check(info, size, False) \
-            if info is not None else None
-        if local_off is not None:
-            off = local_off
-
-            def g(I, th, fr):
-                st = I.stats
-                I._pending += 2
-                st.steps_total += 2
-                addr = fr.slab + off
-                st.accesses_total += 1
-                st.reads += 1
-                if I.eraser is not None:
-                    I._eraser_access(node, addr, size, th, False)
-                if dyn is not None and I.instrument:
-                    dyn(I, th, addr)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-                return I.space.read(addr, loc)
-            return (GENF, None, g)
-        if global_name is not None:
-            name = global_name
-
-            def g(I, th, fr):
-                st = I.stats
-                I._pending += 2
-                st.steps_total += 2
-                addr = I.globals_env[name]
-                st.accesses_total += 1
-                st.reads += 1
-                if I.eraser is not None:
-                    I._eraser_access(node, addr, size, th, False)
-                if dyn is not None and I.instrument:
-                    dyn(I, th, addr)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-                return I.space.read(addr, loc)
-            return (GENF, None, g)
-        tag, n, fn = lv_ce
-        if tag == PURE and n is not None:
-            pre = 1 + n
-
-            def g(I, th, fr):
-                st = I.stats
-                I._pending += pre
-                st.steps_total += pre
-                addr = fn(I, th, fr)
-                st.accesses_total += 1
-                st.reads += 1
-                if I.eraser is not None:
-                    I._eraser_access(node, addr, size, th, False)
-                if dyn is not None and I.instrument:
-                    dyn(I, th, addr)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-                return I.space.read(addr, loc)
-            return (GENF, None, g)
-        if tag == PURE:
-            def g(I, th, fr):
-                st = I.stats
-                I._pending += 1
-                st.steps_total += 1
-                addr = fn(I, th, fr)
-                st.accesses_total += 1
-                st.reads += 1
-                if I.eraser is not None:
-                    I._eraser_access(node, addr, size, th, False)
-                if dyn is not None and I.instrument:
-                    dyn(I, th, addr)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-                return I.space.read(addr, loc)
-            return (GENF, None, g)
-
-        def g(I, th, fr):
-            st = I.stats
-            I._pending += 1
-            st.steps_total += 1
-            addr = yield from fn(I, th, fr)
-            st.accesses_total += 1
-            st.reads += 1
-            if I.eraser is not None:
-                I._eraser_access(node, addr, size, th, False)
-            if dyn is not None and I.instrument:
-                dyn(I, th, addr)
-            cost = I._pending
-            I._pending = 0
-            yield cost
-            return I.space.read(addr, loc)
-        return (GENF, None, g)
-
-    def _read_value(self, e: A.Expr, lv_ce):
-        """rvalue use of an l-value node (arrays decay to their
-        address; registers are handled by the Ident case)."""
-        if self._is_array(e):
-            return self._combine(1, [lv_ce], lambda a: a)
-        return self._read_access_gen(e, lv_ce)
-
-    # -- write-site facts (inlined at each assigning closure) --------------
-
-    def _write_facts(self, node: A.Expr, rc_track: bool):
-        """(size, mask, loc, info, is_lock, dyn, rc) — the static half
-        of ``Interp._do_write`` for one node."""
-        size = self._sizeof(node)
-        info = getattr(node, "sharc_write", None)
-        lock = info is not None and info.is_lock
-        if lock:
-            self.needs_env = True
-        dyn = (_make_dyn_check(info, size, True)
-               if info is not None and not lock else None)
-        return size, size == 1, node.loc, info, lock, dyn, rc_track
-
-    # -- expressions -------------------------------------------------------
-
-    def expr(self, e: A.Expr):
-        k = _EXPR_KIND.get(e.__class__, -1)
-        if k == _E_LIT:
-            value = e.value
-            return (PURE, 1, lambda I, th, fr: value)
-        if k == _E_IDENT:
-            return self._ident(e)
-        if k == _E_BINOP:
-            return self._binop(e)
-        if k == _E_MEMBER or k == _E_INDEX or (
-                k == _E_UNOP and e.op == "*"):
-            return self._read_value(e, self.lvalue(e))
-        if k == _E_UNOP:
-            return self._unop(e)
-        if k == _E_ASSIGN:
-            return self._assign(e)
-        if k == _E_CALL:
-            return self._call(e)
-        if k == _E_NULL:
-            return (PURE, 1, lambda I, th, fr: 0)
-        if k == _E_STR:
-            text = e.value
-
-            def strlit(I, th, fr):
-                strings = I._strings
-                addr = strings.get(text)
-                if addr is None:
-                    addr = strings[text] = I.space.alloc_c_string(text)
-                return addr
-            return (PURE, 1, strlit)
-        if k == _E_SIZEOF:
-            if e.of_type is not None:
-                size = e.of_type.base.size(self.structs)
-            else:
-                size = self._sizeof(e.of_expr)
-            return (PURE, 1, lambda I, th, fr: size)
-        if k == _E_CAST:
-            return self._cast(e)
-        if k == _E_SCAST:
-            return self._delegate(e)
-        if k == _E_COND:
-            return self._cond(e)
-        if k == _E_COMMA:
-            parts = [self.expr(p) for p in e.parts]
-            return self._combine(
-                1, parts, lambda *vs: vs[-1] if vs else 0)
-        raise CompileError(f"cannot compile {type(e).__name__}")
-
-    def _ident(self, e: A.Ident):
-        name = e.name
-        if name in self.offsets:
-            off = self.offsets[name]
-            if self._is_array(e):
-                return (PURE, 2, lambda I, th, fr: fr.slab + off)
-            if getattr(e, "sharc_reg", False):
-                loc = e.loc
-                return (PURE, 2, lambda I, th, fr:
-                        I.space.read(fr.slab + off, loc))
-            return self._read_access_gen(e, None, local_off=off)
-        if name in self.functions:
-            return (PURE, 1, lambda I, th, fr: ("fn", name))
-        if name not in self.global_names and name in IMPLS:
-            return (PURE, 1, lambda I, th, fr: ("fn", name))
-        if name in self.global_names:
-            if self._is_array(e):
-                return (PURE, 2,
-                        lambda I, th, fr: I.globals_env[name])
-            return self._read_access_gen(e, None, global_name=name)
-        return _raiser(2, f"no storage for {name!r}", e.loc)
-
-    def _unop(self, e: A.Unop):
-        if e.op == "&":
-            return self._combine(1, [self.lvalue(e.operand)],
-                                 lambda a: a)
-        if e.op in ("++", "--"):
-            return self._incdec(e)
-        operand = self.expr(e.operand)
-        if e.op == "-":
-            return self._combine(1, [operand], lambda v: -v)
-        if e.op == "!":
-            return self._combine(
-                1, [operand], lambda v: 0 if _truthy(v) else 1)
-        if e.op == "~":
-            return self._combine(1, [operand], lambda v: ~int(v))
-        raise CompileError(f"unknown unary {e.op}")
-
-    def _incdec(self, e: A.Unop):
-        operand = e.operand
-        qt = operand.ctype
-        scale = 1
-        if qt is not None and qt.is_pointer:
-            scale = qt.pointee().base.size(self.structs)
-        delta = scale if e.op == "++" else -scale
-        postfix = e.postfix
-        rc = getattr(e, "rc_track", False)
-        if getattr(operand, "sharc_reg", False):
-            off = self.offsets[operand.name]
-            loc = operand.loc
-            mask = self._sizeof(operand) == 1
-
-            def raw(I, th, fr):
-                addr = fr.slab + off
-                old = I.space.read(addr, loc)
-                new = (old or 0) + delta
-                w = new & 0xFF if mask and isinstance(new, int) else new
-                prev = I.space.write(addr, w, loc)
-                if rc:
-                    I._rc_write(th, addr, prev, w)
-                return old if postfix else new
-            if not rc:
-                return (PURE, 2, raw)
-
-            def pf(I, th, fr):
-                I._pending += 2
-                I.stats.steps_total += 2
-                return raw(I, th, fr)
-            return (PURE, None, pf)
-        lv_isg, lv_f = _embed(self.lvalue(operand))
-        rsize = self._sizeof(operand)
-        rinfo = getattr(operand, "sharc_read", None)
-        rlockck = rinfo is not None and rinfo.is_lock
-        if rlockck:
-            self.needs_env = True
-        rdyn = (_make_dyn_check(rinfo, rsize, False)
-                if rinfo is not None and not rlockck else None)
-        wsize, wmask, wloc, winfo, wlock, wdyn, _ = \
-            self._write_facts(operand, rc)
-        node = operand
-        loc = operand.loc
-
-        def g(I, th, fr):
-            st = I.stats
-            I._pending += 1
-            st.steps_total += 1
-            addr = (yield from lv_f(I, th, fr)) if lv_isg \
-                else lv_f(I, th, fr)
-            # inlined _do_read
-            st.accesses_total += 1
-            st.reads += 1
-            if I.eraser is not None:
-                I._eraser_access(node, addr, rsize, th, False)
-            if I.instrument and rinfo is not None:
-                if rlockck:
-                    yield from I._lock_check(rinfo, addr, rsize, th, fr,
-                                             False)
-                else:
-                    rdyn(I, th, addr)
-            cost = I._pending
-            I._pending = 0
-            yield cost
-            old = I.space.read(addr, loc)
-            new = (old or 0) + delta
-            # inlined _do_write
-            w = new & 0xFF if wmask and isinstance(new, int) else new
-            st.accesses_total += 1
-            st.writes += 1
-            if I.eraser is not None:
-                I._eraser_access(node, addr, wsize, th, True)
-            if I.instrument and winfo is not None:
-                if wlock:
-                    yield from I._lock_check(winfo, addr, wsize, th, fr,
-                                             True)
-                else:
-                    wdyn(I, th, addr)
-            cost = I._pending
-            I._pending = 0
-            yield cost
-            prev = I.space.write(addr, w, wloc)
-            if rc:
-                I._rc_write(th, addr, prev, w)
-            return old if postfix else new
-        return (GENF, None, g)
-
-    def _binop(self, e: A.Binop):
-        opk = _BINOP_K.get(e.op, -1)
-        if opk == -1:
-            raise CompileError(f"unknown operator {e.op}")
-        lce, rce = self.expr(e.lhs), self.expr(e.rhs)
-        if opk == _B_ANDAND or opk == _B_OROR:
-            want = opk == _B_OROR  # short-circuit when lhs is this
-            if lce[0] == PURE and rce[0] == PURE:
-                lf, rf = _caller(lce), _caller(rce)
-
-                def pf(I, th, fr):
-                    I._pending += 1
-                    I.stats.steps_total += 1
-                    if _truthy(lf(I, th, fr)) is want:
-                        return 1 if want else 0
-                    return 1 if _truthy(rf(I, th, fr)) else 0
-                return (PURE, None, pf)
-            lisg, lf = _embed(lce)
-            risg, rf = _embed(rce)
-
-            def g(I, th, fr):
-                I._pending += 1
-                I.stats.steps_total += 1
-                lhs = (yield from lf(I, th, fr)) if lisg \
-                    else lf(I, th, fr)
-                if _truthy(lhs) is want:
-                    return 1 if want else 0
-                rhs = (yield from rf(I, th, fr)) if risg \
-                    else rf(I, th, fr)
-                return 1 if _truthy(rhs) else 0
-            return (GENF, None, g)
-        apply, raising = self._binop_apply(e, opk)
-        return self._combine(1, [lce, rce], apply, raising=raising)
-
-    def _binop_apply(self, e: A.Binop, opk: int):
-        """The interpreter's ``_eval_binop`` arms as a raw two-argument
-        function, with the operand-type metadata folded in."""
-        lq, rq = e.lhs.ctype, e.rhs.ctype
-        l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
-        r_ptr = rq is not None and (rq.is_pointer or rq.is_array)
-        try:
-            lscale = self._ptr_scale(lq) if l_ptr else 1
-        except (KeyError, AttributeError):
-            lscale = 1
-        try:
-            rscale = self._ptr_scale(rq) if r_ptr else 1
-        except (KeyError, AttributeError):
-            rscale = 1
-        loc = e.loc
-        if opk == _B_ADD:
-            if l_ptr and not r_ptr:
-                return (lambda a, b: int(a) + int(b) * lscale), False
-            if r_ptr and not l_ptr:
-                return (lambda a, b: int(b) + int(a) * rscale), False
-            return (lambda a, b: a + b), False
-        if opk == _B_SUB:
-            if l_ptr and r_ptr:
-                return (lambda a, b: (int(a) - int(b)) // lscale), False
-            if l_ptr:
-                return (lambda a, b: int(a) - int(b) * lscale), False
-            return (lambda a, b: a - b), False
-        if opk == _B_LT:
-            return (lambda a, b: 1 if a < b else 0), False
-        if opk == _B_EQ:
-            return (lambda a, b: 1 if a == b else 0), False
-        if opk == _B_NE:
-            return (lambda a, b: 1 if a != b else 0), False
-        if opk == _B_GT:
-            return (lambda a, b: 1 if a > b else 0), False
-        if opk == _B_LE:
-            return (lambda a, b: 1 if a <= b else 0), False
-        if opk == _B_GE:
-            return (lambda a, b: 1 if a >= b else 0), False
-        if opk == _B_MUL:
-            return (lambda a, b: a * b), False
-        if opk == _B_DIV:
-            def div(a, b):
-                if b == 0:
-                    raise InterpError("division by zero", loc)
-                if isinstance(a, float) or isinstance(b, float):
-                    return a / b
-                return int(a / b) if (a < 0) != (b < 0) else a // b
-            return div, True
-        if opk == _B_MOD:
-            def mod(a, b):
-                if b == 0:
-                    raise InterpError("modulo by zero", loc)
-                return int(a) - int(int(a) / int(b)) * int(b)
-            return mod, True
-        if opk == _B_BAND:
-            return (lambda a, b: int(a) & int(b)), False
-        if opk == _B_BOR:
-            return (lambda a, b: int(a) | int(b)), False
-        if opk == _B_XOR:
-            return (lambda a, b: int(a) ^ int(b)), False
-        if opk == _B_SHL:
-            return (lambda a, b: int(a) << int(b)), False
-        if opk == _B_SHR:
-            return (lambda a, b: int(a) >> int(b)), False
-        raise CompileError(f"unknown operator {e.op}")
-
-    def _cast(self, e: A.CastExpr):
-        to = e.to
-        to_int = to.is_integral
-        to_byte = to_int and to.base.size(self.structs) == 1
-        to_float = to.is_arith and not to_int
-
-        def conv(v):
-            if isinstance(v, float) and to_int:
-                return int(v)
-            if isinstance(v, int):
-                if to_byte:
-                    return v & 0xFF
-                if to_float:
-                    return float(v)
-            return v
-        return self._combine(1, [self.expr(e.expr)], conv)
-
-    def _cond(self, e: A.CondExpr):
-        cce = self.expr(e.cond)
-        tce = self.expr(e.then)
-        oce = self.expr(e.other)
-        if cce[0] == PURE and tce[0] == PURE and oce[0] == PURE:
-            cf, tf, of = _caller(cce), _caller(tce), _caller(oce)
-
-            def pf(I, th, fr):
-                I._pending += 1
-                I.stats.steps_total += 1
-                if _truthy(cf(I, th, fr)):
-                    return tf(I, th, fr)
-                return of(I, th, fr)
-            return (PURE, None, pf)
-        cisg, cf = _embed(cce)
-        tisg, tf = _embed(tce)
-        oisg, of = _embed(oce)
-
-        def g(I, th, fr):
-            I._pending += 1
-            I.stats.steps_total += 1
-            c = (yield from cf(I, th, fr)) if cisg else cf(I, th, fr)
-            if _truthy(c):
-                return ((yield from tf(I, th, fr)) if tisg
-                        else tf(I, th, fr))
-            return ((yield from of(I, th, fr)) if oisg
-                    else of(I, th, fr))
-        return (GENF, None, g)
-
-    # -- assignment --------------------------------------------------------
-
-    def _compound_apply(self, e: A.Assign):
-        """``Interp._apply_binop`` (the *Python*-semantics arithmetic
-        compound assignment uses: floor division, Python modulo) with
-        the lhs pointer scale folded in."""
-        op = self._COMPOUND[e.op]
-        lq = e.lhs.ctype
-        loc = e.loc
-        l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
-        if l_ptr and op == "+":
-            scale = self._ptr_scale(lq)
-            return lambda a, b: int(a) + int(b) * scale
-        if l_ptr and op == "-":
-            scale = self._ptr_scale(lq)
-            return lambda a, b: int(a) - int(b) * scale
-        if op == "+":
-            return lambda a, b: a + b
-        if op == "-":
-            return lambda a, b: a - b
-        if op == "*":
-            return lambda a, b: a * b
-        if op == "/":
-            def div(a, b):
-                if b == 0:
-                    raise InterpError("/ by zero", loc)
-                if isinstance(a, float) or isinstance(b, float):
-                    return a / b
-                return a // b
-            return div
-        if op == "%":
-            def mod(a, b):
-                if b == 0:
-                    raise InterpError("% by zero", loc)
-                return a % b
-            return mod
-        if op == "&":
-            return lambda a, b: int(a) & int(b)
-        if op == "|":
-            return lambda a, b: int(a) | int(b)
-        if op == "^":
-            return lambda a, b: int(a) ^ int(b)
-        if op == "<<":
-            return lambda a, b: int(a) << int(b)
-        if op == ">>":
-            return lambda a, b: int(a) >> int(b)
-        raise CompileError(f"unknown compound op {e.op}")
-
-    def _assign(self, e: A.Assign):
-        lhs = e.lhs
-        lhs_qt = lhs.ctype
-        if e.op == "=" and lhs_qt is not None and lhs_qt.is_struct:
-            return self._delegate(e)  # block copy: rare, tree-walk it
-        rhs_ce = self.expr(e.rhs)
-        rc = getattr(e, "rc_track", False)
-        compound = e.op != "="
-        apply = self._compound_apply(e) if compound else None
-        if getattr(lhs, "sharc_reg", False):
-            off = self.offsets[lhs.name]
-            loc = lhs.loc
-            mask = self._sizeof(lhs) == 1
-            rtag, rn, rfn = rhs_ce
-            if rtag == PURE and rn is not None and not rc \
-                    and not compound:
-                def raw(I, th, fr):
-                    v = rfn(I, th, fr)
-                    w = v & 0xFF if mask and isinstance(v, int) else v
-                    I.space.write(fr.slab + off, w, loc)
-                    return v
-                return (PURE, 2 + rn, raw)
-            if rtag == PURE:
-                rcall = _caller(rhs_ce)
-
-                def pf(I, th, fr):
-                    I._pending += 1
-                    I.stats.steps_total += 1
-                    v = rcall(I, th, fr)
-                    I._pending += 1
-                    I.stats.steps_total += 1
-                    addr = fr.slab + off
-                    if compound:
-                        v = apply(I.space.read(addr, loc), v)
-                    w = v & 0xFF if mask and isinstance(v, int) else v
-                    prev = I.space.write(addr, w, loc)
-                    if rc:
-                        I._rc_write(th, addr, prev, w)
-                    return v
-                return (PURE, None, pf)
-
-            def g(I, th, fr):
-                I._pending += 1
-                I.stats.steps_total += 1
-                v = yield from rfn(I, th, fr)
-                I._pending += 1
-                I.stats.steps_total += 1
-                addr = fr.slab + off
-                if compound:
-                    v = apply(I.space.read(addr, loc), v)
-                w = v & 0xFF if mask and isinstance(v, int) else v
-                prev = I.space.write(addr, w, loc)
-                if rc:
-                    I._rc_write(th, addr, prev, w)
-                return v
-            return (GENF, None, g)
-        risg, rf = _embed(rhs_ce)
-        lisg, lf = _embed(self.lvalue(lhs))
-        wsize, wmask, wloc, winfo, wlock, wdyn, _ = \
-            self._write_facts(lhs, rc)
-        rsize = self._sizeof(lhs)
-        rinfo = getattr(lhs, "sharc_read", None) if compound else None
-        rlockck = rinfo is not None and rinfo.is_lock
-        if rlockck:
-            self.needs_env = True
-        rdyn = (_make_dyn_check(rinfo, rsize, False)
-                if rinfo is not None and not rlockck else None)
-        rloc = lhs.loc
-        node = lhs
-
-        def g(I, th, fr):
-            st = I.stats
-            I._pending += 1
-            st.steps_total += 1
-            v = (yield from rf(I, th, fr)) if risg else rf(I, th, fr)
-            addr = (yield from lf(I, th, fr)) if lisg \
-                else lf(I, th, fr)
-            if compound:
-                # inlined _do_read of the lhs
-                st.accesses_total += 1
-                st.reads += 1
-                if I.eraser is not None:
-                    I._eraser_access(node, addr, rsize, th, False)
-                if I.instrument and rinfo is not None:
-                    if rlockck:
-                        yield from I._lock_check(rinfo, addr, rsize, th,
-                                                 fr, False)
-                    else:
-                        rdyn(I, th, addr)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-                v = apply(I.space.read(addr, rloc), v)
-            # inlined _do_write
-            w = v & 0xFF if wmask and isinstance(v, int) else v
-            st.accesses_total += 1
-            st.writes += 1
-            if I.eraser is not None:
-                I._eraser_access(node, addr, wsize, th, True)
-            if I.instrument and winfo is not None:
-                if wlock:
-                    yield from I._lock_check(winfo, addr, wsize, th, fr,
-                                             True)
-                else:
-                    wdyn(I, th, addr)
-            cost = I._pending
-            I._pending = 0
-            yield cost
-            prev = I.space.write(addr, w, wloc)
-            if rc:
-                I._rc_write(th, addr, prev, w)
-            return v
-        return (GENF, None, g)
-
-    # -- calls -------------------------------------------------------------
-
-    def _call(self, e: A.Call):
-        arg_embeds = [_embed(self.expr(a)) for a in e.args]
-        static_name = None
-        if isinstance(e.callee, A.Ident) \
-                and e.callee.name not in self.offsets:
-            static_name = e.callee.name
-        if static_name is not None:
-            name = static_name
-            if name in self.functions:
-                fd = self.functions[name]
-
-                def g(I, th, fr):
-                    I._pending += 1
-                    I.stats.steps_total += 1
-                    args = []
-                    for isg, f in arg_embeds:
-                        args.append((yield from f(I, th, fr)) if isg
-                                    else f(I, th, fr))
-                    result = yield from I.call_function(th, fd, args)
-                    return result
-                return (GENF, None, g)
-            if name in IMPLS:
-                impl = IMPLS[name]
-
-                def g(I, th, fr):
-                    I._pending += 1
-                    I.stats.steps_total += 1
-                    args = []
-                    for isg, f in arg_embeds:
-                        args.append((yield from f(I, th, fr)) if isg
-                                    else f(I, th, fr))
-                    I._pending += 1
-                    I.stats.steps_total += 1
-                    result = impl(I, th, e, args)
-                    if hasattr(result, "__next__"):
-                        result = yield from result
-                    return result if result is not None else 0
-                return (GENF, None, g)
-            loc = e.loc
-
-            def g(I, th, fr):
-                I._pending += 1
-                I.stats.steps_total += 1
-                for isg, f in arg_embeds:
-                    if isg:
-                        yield from f(I, th, fr)
-                    else:
-                        f(I, th, fr)
-                raise InterpError(
-                    f"call of undefined function {name!r}", loc)
-            return (GENF, None, g)
-        cisg, cf = _embed(self.expr(e.callee))
-        loc = e.loc
-
-        def g(I, th, fr):
-            I._pending += 1
-            I.stats.steps_total += 1
-            value = (yield from cf(I, th, fr)) if cisg \
-                else cf(I, th, fr)
-            if isinstance(value, tuple) and value and value[0] == "fn":
-                name = value[1]
-            else:
-                raise InterpError("call through non-function value", loc)
-            args = []
-            for isg, f in arg_embeds:
-                args.append((yield from f(I, th, fr)) if isg
-                            else f(I, th, fr))
-            func = I.functions.get(name)
-            if func is not None:
-                result = yield from I.call_function(th, func, args)
-                return result
-            impl = IMPLS.get(name)
-            if impl is not None:
-                I._pending += 1
-                I.stats.steps_total += 1
-                result = impl(I, th, e, args)
-                if hasattr(result, "__next__"):
-                    result = yield from result
-                return result if result is not None else 0
-            raise InterpError(
-                f"call of undefined function {name!r}", loc)
-        return (GENF, None, g)
-
-    # -- statements --------------------------------------------------------
-
-    def _seq(self, parts):
-        """Statements in sequence, collapsing const runs."""
-        if not parts:
-            return (PURE, 0, lambda I, th, fr: None)
-        if len(parts) == 1:
-            return parts[0]
-        if all(p[0] == PURE for p in parts):
-            if all(p[1] is not None for p in parts):
-                total = sum(p[1] for p in parts)
-                raws = [p[2] for p in parts]
-
-                def raw(I, th, fr):
-                    for f in raws:
-                        f(I, th, fr)
-                return (PURE, total, raw)
-            callers = [_caller(p) for p in parts]
-
-            def pf(I, th, fr):
-                for f in callers:
-                    f(I, th, fr)
-            return (PURE, None, pf)
-        steps = [_embed(p) for p in parts]
-
-        def g(I, th, fr):
-            for isg, f in steps:
-                if isg:
-                    yield from f(I, th, fr)
-                else:
-                    f(I, th, fr)
-        return (GENF, None, g)
-
-    def stmt(self, s: A.Stmt):
-        k = _STMT_KIND.get(s.__class__, -1)
-        if k == _S_EXPR:
-            return self.expr(s.expr)
-        if k == _S_COMPOUND:
-            return self._seq([self.stmt(sub) for sub in s.stmts])
-        if k == _S_DECL:
-            return self._decl(s)
-        if k == _S_IF:
-            return self._if(s)
-        if k == _S_WHILE:
-            return self._while(s)
-        if k == _S_DOWHILE:
-            return self._dowhile(s)
-        if k == _S_FOR:
-            return self._for(s)
-        if k == _S_RETURN:
-            return self._return(s)
-        if k == _S_BREAK:
-            def brk(I, th, fr):
-                raise _Break()
-            return (PURE, None, brk)
-        if k == _S_CONTINUE:
-            def cont(I, th, fr):
-                raise _Continue()
-            return (PURE, None, cont)
-        raise CompileError(f"cannot compile {type(s).__name__}")
-
-    def _decl(self, s: A.DeclStmt):
-        parts = []
-        for d in s.decls:
-            if d.init is None:
-                continue
-            init_ce = self.expr(d.init)
-            off = self.offsets[d.name]
-            size = d.qtype.base.size(self.structs)
-            mask = size == 1
-            rc = getattr(d, "rc_track", False)
-            loc = d.loc
-            tag, n, fn = init_ce
-            if tag == PURE and n is not None and not rc:
-                def raw(I, th, fr, fn=fn, off=off, mask=mask, loc=loc):
-                    v = fn(I, th, fr)
-                    if mask and isinstance(v, int):
-                        v &= 0xFF
-                    I.space.write(fr.slab + off, v, loc)
-                    st = I.stats
-                    st.accesses_total += 1
-                    st.writes += 1
-                parts.append((PURE, n, raw))
-                continue
-            if tag == PURE:
-                icall = _caller(init_ce)
-
-                def pf(I, th, fr, icall=icall, off=off, mask=mask,
-                       rc=rc, loc=loc):
-                    v = icall(I, th, fr)
-                    if mask and isinstance(v, int):
-                        v &= 0xFF
-                    addr = fr.slab + off
-                    old = I.space.write(addr, v, loc)
-                    st = I.stats
-                    st.accesses_total += 1
-                    st.writes += 1
-                    if rc:
-                        I._rc_write(th, addr, old, v)
-                parts.append((PURE, None, pf))
-                continue
-
-            def g(I, th, fr, fn=fn, off=off, mask=mask, rc=rc, loc=loc):
-                v = yield from fn(I, th, fr)
-                if mask and isinstance(v, int):
-                    v &= 0xFF
-                addr = fr.slab + off
-                old = I.space.write(addr, v, loc)
-                st = I.stats
-                st.accesses_total += 1
-                st.writes += 1
-                if rc:
-                    I._rc_write(th, addr, old, v)
-            parts.append((GENF, None, g))
-        return self._seq(parts)
-
-    def _if(self, s: A.If):
-        cce = self.expr(s.cond)
-        tcs = self.stmt(s.then)
-        ocs = self.stmt(s.other) if s.other is not None else None
-        pure = (cce[0] == PURE and tcs[0] == PURE
-                and (ocs is None or ocs[0] == PURE))
-        if pure:
-            cf = _caller(cce)
-            tf = _caller(tcs)
-            of = _caller(ocs) if ocs is not None else None
-
-            def pf(I, th, fr):
-                if _truthy(cf(I, th, fr)):
-                    tf(I, th, fr)
-                elif of is not None:
-                    of(I, th, fr)
-            return (PURE, None, pf)
-        cisg, cf = _embed(cce)
-        tisg, tf = _embed(tcs)
-        oisg, of = _embed(ocs) if ocs is not None else (False, None)
-
-        def g(I, th, fr):
-            c = (yield from cf(I, th, fr)) if cisg else cf(I, th, fr)
-            if _truthy(c):
-                if tisg:
-                    yield from tf(I, th, fr)
-                else:
-                    tf(I, th, fr)
-            elif of is not None:
-                if oisg:
-                    yield from of(I, th, fr)
-                else:
-                    of(I, th, fr)
-        return (GENF, None, g)
-
-    def _while(self, s: A.While):
-        cisg, cf = _embed(self.expr(s.cond))
-        bisg, bf = _embed(self.stmt(s.body))
-
-        def g(I, th, fr):
-            while True:
-                c = (yield from cf(I, th, fr)) if cisg \
-                    else cf(I, th, fr)
-                if not _truthy(c):
-                    return
-                try:
-                    if bisg:
-                        yield from bf(I, th, fr)
-                    else:
-                        bf(I, th, fr)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
-                cost = I._pending  # preemption point on back-edges
-                I._pending = 0
-                yield cost
-        return (GENF, None, g)
-
-    def _dowhile(self, s: A.DoWhile):
-        bisg, bf = _embed(self.stmt(s.body))
-        cisg, cf = _embed(self.expr(s.cond))
-
-        def g(I, th, fr):
-            while True:
-                try:
-                    if bisg:
-                        yield from bf(I, th, fr)
-                    else:
-                        bf(I, th, fr)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
-                c = (yield from cf(I, th, fr)) if cisg \
-                    else cf(I, th, fr)
-                if not _truthy(c):
-                    return
-                cost = I._pending
-                I._pending = 0
-                yield cost
-        return (GENF, None, g)
-
-    def _for(self, s: A.For):
-        init = None
-        if isinstance(s.init, A.DeclStmt):
-            init = _embed(self.stmt(s.init))
-        elif s.init is not None:
-            init = _embed(self.expr(s.init))
-        cisg, cf = (_embed(self.expr(s.cond)) if s.cond is not None
-                    else (False, None))
-        sisg, sf = (_embed(self.expr(s.step)) if s.step is not None
-                    else (False, None))
-        bisg, bf = _embed(self.stmt(s.body))
-
-        def g(I, th, fr):
-            if init is not None:
-                iisg, ifn = init
-                if iisg:
-                    yield from ifn(I, th, fr)
-                else:
-                    ifn(I, th, fr)
-            while True:
-                if cf is not None:
-                    c = (yield from cf(I, th, fr)) if cisg \
-                        else cf(I, th, fr)
-                    if not _truthy(c):
-                        return
-                try:
-                    if bisg:
-                        yield from bf(I, th, fr)
-                    else:
-                        bf(I, th, fr)
-                except _Break:
-                    return
-                except _Continue:
-                    pass
-                if sf is not None:
-                    if sisg:
-                        yield from sf(I, th, fr)
-                    else:
-                        sf(I, th, fr)
-                cost = I._pending
-                I._pending = 0
-                yield cost
-        return (GENF, None, g)
-
-    def _return(self, s: A.Return):
-        if s.value is None:
-            def pf(I, th, fr):
-                raise _Return(0)
-            return (PURE, None, pf)
-        vce = self.expr(s.value)
-        if vce[0] == PURE:
-            vf = _caller(vce)
-
-            def pf(I, th, fr):
-                raise _Return(vf(I, th, fr))
-            return (PURE, None, pf)
-        _, vf = _embed(vce)
-
-        def g(I, th, fr):
-            value = yield from vf(I, th, fr)
-            raise _Return(value)
-        return (GENF, None, g)
-
-
-# -- whole-program compiler ------------------------------------------------
 
 class ProgramCompiler:
     def __init__(self, checked: CheckedProgram) -> None:
@@ -1520,15 +38,9 @@ class ProgramCompiler:
         self.global_names = {g.name for g in self.program.globals()
                              if g.storage != "extern"}
 
-    def compile(self, tiers: tuple = ("codegen", "closures")
-                ) -> CompiledProgram:
-        """Compiles every defined function through the first tier that
-        accepts it: flattened source codegen, then per-node closures,
-        then (recorded in ``failed``) the inherited tree-walker — each
-        tier bit-identical to the next, each slower."""
-        from repro.compile.codegen import FunctionCodegen
-        compilers = {"codegen": FunctionCodegen,
-                     "closures": FunctionCompiler}
+    def compile(self) -> CompiledProgram:
+        """Generates every defined function; one that codegen refuses is
+        recorded in ``failed`` and left to the tree-walker."""
         cp = CompiledProgram()
         #: exposed while compiling so codegen call sites can bind the
         #: (eventually fully populated) dict for direct-call dispatch
@@ -1536,25 +48,19 @@ class ProgramCompiler:
         for name, func in self.functions.items():
             if func.body is None:
                 continue
-            errors = []
-            for tier in tiers:
-                try:
-                    cf = compilers[tier](self, func).compile()
-                    cf.tier = tier
-                    cp.funcs[name] = cf
-                    break
-                except Exception as exc:
-                    errors.append(f"{tier}: {type(exc).__name__}: {exc}")
-            else:  # every tier refused: run under the tree-walker
-                cp.failed[name] = "; ".join(errors)
+            try:
+                cp.funcs[name] = FunctionCodegen(self, func).compile()
+            except Exception as exc:
+                cp.failed[name] = f"codegen: {type(exc).__name__}: {exc}"
         return cp
 
 
 def compile_program(checked: CheckedProgram) -> CompiledProgram:
     """Compiles (and caches, per program object) every function body.
-    The artifact is execution-state-free — closures capture only static
-    facts — so one compile serves every seed/policy/ablation run of the
-    program, including ``sharc explore``'s per-process check cache."""
+    The artifact is execution-state-free — generated code captures only
+    static facts — so one compile serves every seed/policy/ablation run
+    of the program, including ``sharc explore``'s per-process check
+    cache."""
     cached = getattr(checked.program, "_sharc_compiled", None)
     if cached is not None:
         return cached

@@ -1,18 +1,25 @@
 """Flattened-body code generation: one Python generator per function.
 
-The closure compiler (:mod:`repro.compile.closures`) removes the
-per-node *dispatch* but keeps one generator frame per compound
-statement/expression, so every scheduler item still resumes a chain of
-5-8 frames.  This module goes one step further: it emits Python
-*source* for the whole function body — statements inlined, expression
-temporaries in evaluation order, check sites specialized from the
-static marks exactly as in the closure compiler — compiles it with
+The tree-walking interpreter (:mod:`repro.runtime.interp`) re-dispatches
+on every node visit: a dict lookup, a chain of int compares, and a fresh
+generator frame per subexpression.  This module emits Python *source*
+for each whole function body once — statements inlined, expression
+temporaries in evaluation order, variable slots resolved to frame-slab
+offsets, access sizes and pointer scales precomputed from the static
+types, check sites specialized from the static marks — compiles it with
 ``exec``, and runs each activation as a single generator frame.  A
 scheduler item then resumes thread-body -> call_function -> body and
 nothing else.
 
-Bit-identity contract (same as the closure compiler, same differential
-tests): identical ``steps_total`` at every observable point (yield,
+Check sites follow their marks: lock-mode sites inline the
+``_lock_check`` sequence, and ``dynamic`` sites call the site's one
+:func:`~repro.runtime.shadow.make_dynamic_check` closure — the same
+closure object the tree-walker calls (:func:`repro.runtime.interp
+.dynamic_check`), embedded as a constant.
+
+Bit-identity contract (the differential tests in
+``tests/runtime/test_compiled_backend.py`` and the identity suites):
+identical ``steps_total`` at every observable point (yield,
 ``history.record``, bus emission, raise), identical yield count per
 access and per loop back-edge, identical report text, identical
 scheduler RNG consumption.  The generated code follows the
@@ -31,20 +38,21 @@ interpreter's cost model mechanically:
 
 Anything the generator cannot express delegates per-node to the
 inherited tree-walker (``I.eval_expr``), and a function that fails
-codegen entirely falls back to the closure compiler, then to the
-tree-walker — each tier bit-identical, each slower than the last.
+codegen entirely runs under the tree-walker — bit-identical, slower.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass, field
 
 from repro.errors import InterpError
 from repro.cfront import cast as A
 from repro.runtime.addrspace import PAGE_SIZE
 from repro.runtime.builtins import IMPLS
 from repro.runtime.interp import (
-    Frame, Interp, _Break, _Continue, _Return, _truthy,
+    Frame, Interp, _Break, _Continue, _truthy, dynamic_check,
+    frame_layout, ptr_scale, sizeof_node,
     _EXPR_KIND, _STMT_KIND, _BINOP_K,
     _E_LIT, _E_NULL, _E_STR, _E_SIZEOF, _E_IDENT, _E_MEMBER, _E_INDEX,
     _E_UNOP, _E_BINOP, _E_ASSIGN, _E_CALL, _E_CAST, _E_SCAST, _E_COND,
@@ -58,21 +66,59 @@ from repro.runtime.interp import (
 from repro.cfront.pretty import pretty_expr
 from repro.obs.events import CAT_CHECK, CAT_SCAST
 from repro.sharc.reports import Access, lock_not_held, oneref_failed
-from repro.compile.closures import (
-    CompileError, CompiledFunction, FunctionCompiler, _make_dyn_check,
-)
 
 
-class FunctionCodegen(FunctionCompiler):
-    """Emits one flat Python function for one mini-C function body.
+class CompileError(Exception):
+    """This function can't be compiled; run it under the tree-walker."""
 
-    Reuses the closure compiler's static-fact helpers (``_sizeof``,
-    ``_ptr_scale``, frame layout) and its specialized dynamic-check
-    closures; only the execution representation differs.
-    """
 
-    def __init__(self, pc, func):
-        super().__init__(pc, func)
+@dataclass
+class CompiledFunction:
+    """One function body, closed over its static facts.  The frame
+    prologue (``CompiledInterp.call_function``) is precomputed too:
+    name->slot items, parameter slots with their rc flags, and the
+    rc-tracked slot offsets in the same set-iteration order the
+    interpreter's ``_make_frame`` produces (same strings inserted in
+    the same order hash identically within one process)."""
+
+    func: A.FuncDef
+    offsets: dict[str, int]
+    slab_size: int
+    rc_tracked: set = field(default_factory=set)
+    env_items: tuple = ()
+    #: [(offset, rc_tracked?)] per parameter, in order
+    param_slots: list = field(default_factory=list)
+    rc_offs: list = field(default_factory=list)
+    #: does the generated code consult ``frame.env`` (lock-expression
+    #: evaluation, tree-walker delegation)?  If not, the prologue can
+    #: skip populating the dict entirely.
+    needs_env: bool = True
+    #: the compile tier that produced the body; codegen is the only one
+    tier: str = "codegen"
+    #: generated Python source, kept for debugging
+    source: str = ""
+    #: the body is a generator (it has a scheduling point) returning the
+    #: call result with a plain ``return`` — eligible for inlined call
+    #: sites (no ``call_function`` frame between caller and callee).
+    #: Otherwise it is a plain function returning the result.
+    direct: bool = False
+    body = None
+
+
+class FunctionCodegen:
+    """Emits one flat Python function for one mini-C function body."""
+
+    _COMPOUND = Interp._COMPOUND
+
+    def __init__(self, pc, func: A.FuncDef) -> None:
+        self.pc = pc
+        self.structs = pc.structs
+        self.functions = pc.functions
+        self.global_names = pc.global_names
+        self.func = func
+        self.offsets, self.slab_size = frame_layout(func, pc.structs)
+        #: set True when generated code needs ``frame.env`` populated
+        self.needs_env = False
         self.lines: list[str] = []
         self.indent = 1
         self.pend = 0          # entry ticks not yet emitted
@@ -84,6 +130,12 @@ class FunctionCodegen(FunctionCompiler):
         # back-edge at the loop head; do-while needs exception routing
         self.loop_modes: list[str] = []
         self.uses_fast = False  # emitted a slab-slot fast-path access?
+
+    # -- static facts ------------------------------------------------------
+
+    def _is_array(self, e: A.Expr) -> bool:
+        qt = e.ctype
+        return qt is not None and qt.is_array
 
     # -- emission helpers --------------------------------------------------
 
@@ -317,14 +369,14 @@ class FunctionCodegen(FunctionCompiler):
         else:
             vt = self.gen_read_access(src, addr)
         loc = self.const(e.loc)
-        size = self._sizeof(src)
+        size = sizeof_node(src, self.structs)
         info = getattr(e, "sharc_src_write", None)
         self.flush()
         if info is not None:
             if info.is_lock:
                 self._emit_lock_check(info, addr, size, True)
             else:
-                dyn = _make_dyn_check(info, size, True)
+                dyn = dynamic_check(e, info, size, True)
                 self.w(f"if I.instrument: "
                        f"{self.const(dyn)}(I, th, {addr})")
         rc = getattr(e, "rc_track", False)
@@ -371,7 +423,7 @@ class FunctionCodegen(FunctionCompiler):
                         safe: bool = False) -> str:
         """The ``_do_read`` sequence for a non-register access at
         ``addr``: census, check, one yield, load.  Returns a temp."""
-        size = self._sizeof(e)
+        size = sizeof_node(e, self.structs)
         info = getattr(e, "sharc_read", None)
         safe = safe or self.is_safe_addr(addr)
         self.flush()
@@ -388,7 +440,7 @@ class FunctionCodegen(FunctionCompiler):
             if info.is_lock:
                 self._emit_lock_check(info, at, size, False)
             else:
-                dyn = _make_dyn_check(info, size, False)
+                dyn = dynamic_check(e, info, size, False)
                 self.w(f"if I.instrument: "
                        f"{self.const(dyn)}(I, th, {at})")
         self.emit_yield()
@@ -404,7 +456,7 @@ class FunctionCodegen(FunctionCompiler):
         check, one yield, store, rc.  Returns the *stored* value
         expression (masked — callers returning a value must keep the
         unmasked temp, as the interpreter does)."""
-        size = self._sizeof(e)
+        size = sizeof_node(e, self.structs)
         info = getattr(e, "sharc_write", None)
         safe = safe or self.is_safe_addr(addr)
         self.flush()
@@ -425,7 +477,7 @@ class FunctionCodegen(FunctionCompiler):
             if info.is_lock:
                 self._emit_lock_check(info, addr, size, True)
             else:
-                dyn = _make_dyn_check(info, size, True)
+                dyn = dynamic_check(e, info, size, True)
                 self.w(f"if I.instrument: "
                        f"{self.const(dyn)}(I, th, {addr})")
         self.emit_yield()
@@ -492,7 +544,7 @@ class FunctionCodegen(FunctionCompiler):
         if k == _E_SIZEOF:
             if e.of_type is not None:
                 return repr(e.of_type.base.size(self.structs))
-            return repr(self._sizeof(e.of_expr))
+            return repr(sizeof_node(e.of_expr, self.structs))
         if k == _E_CAST:
             return self._gen_cast(e)
         if k == _E_SCAST:
@@ -568,7 +620,7 @@ class FunctionCodegen(FunctionCompiler):
             nt = self.tmp()
             self.w(f"{nt} = ({ot} or 0) + {delta}")
             wt = nt
-            if self._sizeof(operand) == 1:
+            if sizeof_node(operand, self.structs) == 1:
                 wt = self.tmp()
                 self.w(f"{wt} = {nt} & 0xFF "
                        f"if isinstance({nt}, int) else {nt}")
@@ -630,11 +682,11 @@ class FunctionCodegen(FunctionCompiler):
         l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
         r_ptr = rq is not None and (rq.is_pointer or rq.is_array)
         try:
-            lscale = self._ptr_scale(lq) if l_ptr else 1
+            lscale = ptr_scale(lq, self.structs) if l_ptr else 1
         except (KeyError, AttributeError):
             lscale = 1
         try:
-            rscale = self._ptr_scale(rq) if r_ptr else 1
+            rscale = ptr_scale(rq, self.structs) if r_ptr else 1
         except (KeyError, AttributeError):
             rscale = 1
         t = self.tmp()
@@ -739,7 +791,7 @@ class FunctionCodegen(FunctionCompiler):
         l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
         t = self.tmp()
         if l_ptr and op in ("+", "-"):
-            scale = self._ptr_scale(lq)
+            scale = ptr_scale(lq, self.structs)
             sign = "+" if op == "+" else "-"
             self.w(f"{t} = int({old}) {sign} int({val}) * {scale}")
             return t
@@ -785,7 +837,7 @@ class FunctionCodegen(FunctionCompiler):
                 ot = self.fast_read(addr)
                 vt = self._gen_compound_arm(e, ot, vt)
             wt = vt
-            if self._sizeof(lhs) == 1:
+            if sizeof_node(lhs, self.structs) == 1:
                 wt = self.tmp()
                 self.w(f"{wt} = {vt} & 0xFF "
                        f"if isinstance({vt}, int) else {vt}")
@@ -834,22 +886,17 @@ class FunctionCodegen(FunctionCompiler):
 
     def _gen_user_call(self, name: str, args: str) -> str:
         """A statically-resolved user-function call.  When the callee
-        compiled to a codegen-tier generator, the activation is inlined
-        here — same slab allocation, parameter stores, and frame pop as
+        compiled to a generator body, the activation is inlined here —
+        same slab allocation, parameter stores, and frame pop as
         ``CompiledInterp.call_function``, but the callee body is
         ``yield from``-ed directly, removing one generator frame from
-        every item's resume chain.  Callees on other tiers (or still
-        uncompiled) take the generic path.  The funcs dict is bound
-        late, so call sites see the final whole-program compile."""
+        every item's resume chain.  Other callees (plain-function bodies,
+        tree-walked fallbacks) take the generic path.  The funcs dict is
+        bound late, so call sites see the final whole-program compile."""
         self.flush()
         t = self.tmp()
         fk = self.const(self.functions[name])
-        funcs_out = getattr(self.pc, "funcs_out", None)
-        if funcs_out is None:
-            self.w(f"{t} = yield from I.call_function(th, {fk}, "
-                   f"{args})")
-            self.has_yield = True
-            return t
+        funcs_out = self.pc.funcs_out
         self.uses_fast = True
         cft = self.tmp()
         frt = self.tmp()
@@ -1106,7 +1153,6 @@ class FunctionCodegen(FunctionCompiler):
         body = ns["_make"](tuple(self.consts), _truthy, InterpError,
                            IMPLS, _Break, _Continue, Frame)
         cf.body = body
-        cf.body_is_gen = self.has_yield
         cf.direct = self.has_yield
         cf.source = src
         cf.env_items = tuple(self.offsets.items())

@@ -12,7 +12,8 @@ A site is one instrumented l-value occurrence, keyed by
 ``(file, line, lvalue, op)`` with ``op`` either ``"r"`` or ``"w"``.
 The runtime keeps one small counter list per site in
 ``RunStats.sites``; the layout (:data:`SITE_FIELDS`) is shared by the
-tree-walking interpreter, both compiled tiers, and the library-call
+one dynamic check both backends call
+(:func:`repro.runtime.shadow.make_dynamic_check`) and the library-call
 summary path, so per-site totals reconcile *exactly* with the global
 ``RunStats`` counters — :func:`reconcile` asserts that invariant and
 the tier-1 suite runs it over the Table 1 workloads.

@@ -52,7 +52,9 @@ from repro.runtime.refcount import make_scheme
 from repro.runtime.scheduler import (
     DeadlockError, Scheduler, Thread, ThreadState,
 )
-from repro.runtime.shadow import ShadowMemory, TooManyThreads
+from repro.runtime.shadow import (
+    ShadowMemory, TooManyThreads, make_dynamic_check,
+)
 from repro.runtime.stats import RunStats
 from repro.runtime.world import World
 
@@ -143,7 +145,7 @@ def frame_layout(func: A.FuncDef, structs) -> tuple[dict[str, int], int]:
     frame slab, plus the slab size.  The single source of truth for
     frame layout: ``Interp._make_frame`` builds environments from it and
     the compiled backend (:mod:`repro.compile`) bakes the offsets into
-    its closures, so both backends place every local at the same
+    its generated code, so both backends place every local at the same
     address."""
     from repro.sharc.defaults import collect_local_decls
     ftype = func.qtype.base
@@ -161,6 +163,47 @@ def frame_layout(func: A.FuncDef, structs) -> tuple[dict[str, int], int]:
         offsets[name] = offset
         offset += size
     return offsets, max(offset, 1)
+
+
+def sizeof_node(node: A.Expr, structs) -> int:
+    """Scalar size of an access through ``node``, memoized on the
+    node: the type layout is static, so it is computed once per
+    occurrence instead of on every execution."""
+    size = getattr(node, "sharc_size", None)
+    if size is None:
+        qt = node.ctype
+        if qt is None:
+            size = 8
+        else:
+            try:
+                size = qt.base.size(structs)
+            except KeyError:
+                size = 8
+        node.sharc_size = size  # type: ignore[attr-defined]
+    return size
+
+
+def ptr_scale(qt: Optional[QualType], structs) -> int:
+    """Pointer-arithmetic scale of a ``qt``-typed operand."""
+    if qt is None:
+        return 1
+    if qt.is_pointer or qt.is_array:
+        return qt.pointee().base.size(structs)
+    return 1
+
+
+def dynamic_check(node: A.Expr, info: AccessInfo, size: int,
+                  is_write: bool):
+    """The :func:`~repro.runtime.shadow.make_dynamic_check` closure for
+    the ``size``-byte access through ``node``, memoized on the node as
+    ``sharc_size`` is: one closure per site and direction serves every
+    run, under both backends."""
+    memo = "sharc_check_w" if is_write else "sharc_check_r"
+    check = getattr(node, memo, None)
+    if check is None:
+        check = make_dynamic_check(info, size, is_write)
+        setattr(node, memo, check)
+    return check
 
 
 @dataclass
@@ -333,20 +376,24 @@ class Interp:
             self._report(report)
         self._charge_check(ACCESS_COST)
 
-    def _apply_check(self, info: AccessInfo, addr: int, size: int,
-                     thread: Thread, frame: Frame, is_write: bool):
-        """Performs one attached runtime check.  A generator only
-        because lock checks evaluate their lock expression in the
-        current environment; the (much hotter) dynamic checks run in
-        the plain :meth:`_dynamic_check`, skipping the per-access
-        generator frame.  The check kind was resolved once at
-        instrumentation time (``info.is_lock``) instead of re-deriving
-        it from the mode on every access."""
+    def _apply_check(self, node: A.Expr, attr: str, addr: int,
+                     size: int, thread: Thread, frame: Frame,
+                     is_write: bool):
+        """Performs the runtime check attached to ``node`` as ``attr``
+        (``sharc_read``/``sharc_write``/``sharc_src_write``), if any.  A
+        generator only because lock checks evaluate their lock
+        expression in the current environment; dynamic checks call the
+        site's :func:`dynamic_check` closure.  The check kind was
+        resolved once at instrumentation time (``info.is_lock``) instead
+        of re-deriving it from the mode on every access."""
+        info = getattr(node, attr, None)
+        if info is None:
+            return
         if info.is_lock:
             yield from self._lock_check(info, addr, size, thread, frame,
                                         is_write)
         else:
-            self._dynamic_check(info, addr, size, thread, is_write)
+            dynamic_check(node, info, size, is_write)(self, thread, addr)
 
     def _lock_check(self, info: AccessInfo, addr: int, size: int,
                     thread: Thread, frame: Frame, is_write: bool):
@@ -378,154 +425,6 @@ class Interp:
             self.bus.emit(CAT_CHECK, "chklock", thread.tid, dur=1,
                           hit=held, lvalue=info.lvalue_text)
         self.stats.accesses_locked += 1
-
-    def _dynamic_check(self, info: AccessInfo, addr: int, size: int,
-                       thread: Thread, is_write: bool) -> None:
-        """dynamic / dynamic_in: the n-readers-or-1-writer discipline.
-
-        Every branch also lands in the per-site attribution counters
-        (``stats.sites``, :mod:`repro.obs.sitestats` layout) — pure
-        observation, so it cannot perturb steps, reports, or RNG."""
-        stats = self.stats
-        stats.accesses_dynamic += 1
-        site = stats.sites.get(info.site_key_w if is_write
-                               else info.site_key_r)
-        if site is None:
-            site = stats.sites[info.site_key_w if is_write
-                               else info.site_key_r] = [0] * 9
-        if self.sched.live_count <= 1:
-            # Only one live thread: a spawn happens-after every access
-            # made so far, so these accesses can never be part of a race;
-            # recording them would only manufacture init-then-share false
-            # positives.  The check degenerates to a thread-count test.
-            # Provenance is still recorded: a later conflict's history
-            # should show the single-threaded initialisation too.
-            site[0] += 1  # solo
-            site[8] += 1  # cost
-            self._charge_check(1)
-            if self.history is not None:
-                self.history.record(addr, size, thread.tid,
-                                    info.lvalue_text, info.loc, is_write,
-                                    stats.steps_total)
-            return
-        if info.elide and self.checkelim \
-                and self.shadow.recheck(addr, size, thread.tid, is_write):
-            # Statically elided check, revalidated by the runtime guard:
-            # ``recheck`` has already replayed exactly the fast path the
-            # full check would have taken (same counters, no conflict
-            # possible, no bitmap writes), so history, cost, and trace
-            # below are byte-identical to the elimination-off run.
-            stats.checks_elided += 1
-            site[3] += 1  # elided
-            site[8] += 1  # cost
-            if self.history is not None:
-                self.history.record(addr, size, thread.tid,
-                                    info.lvalue_text, info.loc, is_write,
-                                    stats.steps_total)
-            self._charge_check(1)
-            if self.bus is not None:
-                self.bus.emit(CAT_CHECK,
-                              "chkwrite" if is_write else "chkread",
-                              thread.tid, dur=1, hit=True,
-                              conflict=False, elided=True,
-                              lvalue=info.lvalue_text)
-            return
-        if info.lockset_refined and self.lockset \
-                and self.locks.holds_for_access(
-                    thread.tid,
-                    self.globals_env.get(info.refined_lock, -1),
-                    is_write) \
-                and self.shadow.recheck_locked(addr, size, thread.tid,
-                                               is_write, info.lvalue_text,
-                                               info.loc):
-            # locked(l)-refined check: the static lockset analysis proved
-            # every access to this location holds ``refined_lock``; the
-            # held-lock-log test confirms it here, and ``recheck_locked``
-            # discharges the shadow walk whenever the full check would
-            # have been conflict-free at cost 1, replaying its exact
-            # effects — so a wrong mark costs a probe, never a missed
-            # race, and history, cost, and trace stay byte-identical to
-            # the --no-lockset run.
-            stats.checks_locked_refined += 1
-            site[4] += 1  # locked
-            site[8] += 1  # cost
-            if self.history is not None:
-                self.history.record(addr, size, thread.tid,
-                                    info.lvalue_text, info.loc, is_write,
-                                    stats.steps_total)
-            self._charge_check(1)
-            if self.bus is not None:
-                self.bus.emit(CAT_CHECK,
-                              "chkwrite" if is_write else "chkread",
-                              thread.tid, dur=1, hit=True,
-                              conflict=False, locked=True,
-                              lvalue=info.lvalue_text)
-            return
-        if info.ai_elide and self.absint \
-                and self.shadow.recheck(addr, size, thread.tid, is_write):
-            # Interval-proved cover (repro.sharc.absint): same runtime
-            # guard as the checkelim elision — ``recheck`` replays the
-            # exact fast path the full check would have taken, so a
-            # wrong mark costs one predicate test and history, cost,
-            # and trace stay byte-identical to the --no-absint run.
-            stats.checks_ai_elided += 1
-            site[5] += 1  # ai
-            site[8] += 1  # cost
-            if self.history is not None:
-                self.history.record(addr, size, thread.tid,
-                                    info.lvalue_text, info.loc, is_write,
-                                    stats.steps_total)
-            self._charge_check(1)
-            if self.bus is not None:
-                self.bus.emit(CAT_CHECK,
-                              "chkwrite" if is_write else "chkread",
-                              thread.tid, dur=1, hit=True,
-                              conflict=False, ai=True,
-                              lvalue=info.lvalue_text)
-            return
-        shadow = self.shadow
-        if (info.range_walk and self.checkelim) \
-                or (info.ai_range and self.absint):
-            # Monotone array walk: the range-batched APIs (identical
-            # semantics, page lookup hoisted out of the granule loop).
-            # ``ai_range`` marks come from the abstract interpreter
-            # (loops whose calls are all proven check-free).
-            chk = (shadow.chkwrite_range if is_write
-                   else shadow.chkread_range)
-            stats.checks_range += 1
-            site[2] += 1  # range
-        else:
-            chk = shadow.chkwrite if is_write else shadow.chkread
-            stats.checks_full += 1
-            site[1] += 1  # full
-        conflict, slow = chk(addr, size, thread.tid, info.lvalue_text,
-                             info.loc)
-        if slow:
-            site[6] += 1  # miss (left the fast path)
-        if conflict is not None:
-            site[7] += 1  # conflicts
-            who = Access(thread.tid, info.lvalue_text, info.loc)
-            # Provenance is fetched *before* recording this access,
-            # so the hist lines show the accesses leading up to it.
-            hist = (self.history.provenance(addr, size)
-                    if self.history is not None else ())
-            make = write_conflict if is_write else read_conflict
-            self._report(make(addr, who, conflict.as_access(), hist))
-        if self.history is not None:
-            self.history.record(addr, size, thread.tid, info.lvalue_text,
-                                info.loc, is_write,
-                                stats.steps_total)
-        # Fast path (bits already set): a load + test.  Slow path:
-        # a cmpxchg per granule.
-        cost = 1 + 3 * slow
-        site[8] += cost
-        self._charge_check(cost)
-        if self.bus is not None:
-            self.bus.emit(CAT_CHECK,
-                          "chkwrite" if is_write else "chkread",
-                          thread.tid, dur=cost, hit=(slow == 0),
-                          conflict=conflict is not None,
-                          lvalue=info.lvalue_text)
 
     def summary_access(self, node: A.Call, arg_index: int, addr: int,
                        length: int, thread: Thread) -> None:
@@ -627,30 +526,13 @@ class Interp:
 
     # -- memory access helpers ------------------------------------------------------
 
-    def _sizeof_node(self, node: A.Expr) -> int:
-        """Scalar size of an access through ``node``, memoized on the
-        node: the type layout is static, so it is computed once per
-        occurrence instead of on every execution."""
-        size = getattr(node, "sharc_size", None)
-        if size is None:
-            qt = node.ctype
-            if qt is None:
-                size = 8
-            else:
-                try:
-                    size = qt.base.size(self.structs)
-                except KeyError:
-                    size = 8
-            node.sharc_size = size  # type: ignore[attr-defined]
-        return size
-
     def _do_read(self, node: A.Expr, addr: int, thread: Thread,
                  frame: Frame):
         if getattr(node, "sharc_reg", False):
             # Register-allocatable local: not a memory access in compiled
             # C, never racy — no census, no scheduling point.
             return self.space.read(addr, node.loc)
-        size = self._sizeof_node(node)
+        size = sizeof_node(node, self.structs)
         stats = self.stats
         stats.accesses_total += 1
         stats.reads += 1
@@ -663,14 +545,15 @@ class Interp:
                     yield from self._lock_check(info, addr, size, thread,
                                                 frame, False)
                 else:
-                    self._dynamic_check(info, addr, size, thread, False)
+                    dynamic_check(node, info, size, False)(self, thread,
+                                                           addr)
         yield self._flush()
         return self.space.read(addr, node.loc)
 
     def _do_write(self, node: A.Expr, addr: int, value: object,
                   thread: Thread, frame: Frame,
                   rc_track: bool = False):
-        size = self._sizeof_node(node)
+        size = sizeof_node(node, self.structs)
         if size == 1 and isinstance(value, int):
             value &= 0xFF
         if getattr(node, "sharc_reg", False):
@@ -689,7 +572,8 @@ class Interp:
                     yield from self._lock_check(info, addr, size, thread,
                                                 frame, True)
                 else:
-                    self._dynamic_check(info, addr, size, thread, True)
+                    dynamic_check(node, info, size, True)(self, thread,
+                                                          addr)
         yield self._flush()
         old = self.space.write(addr, value, node.loc)
         if rc_track:
@@ -803,7 +687,7 @@ class Interp:
         if k == _E_SIZEOF:
             if e.of_type is not None:
                 return e.of_type.base.size(self.structs)
-            return self._sizeof_node(e.of_expr)
+            return sizeof_node(e.of_expr, self.structs)
         if k == _E_CAST:
             value = yield from self.eval_expr(e.expr, thread, frame)
             if isinstance(value, float) and e.to.is_integral:
@@ -858,13 +742,6 @@ class Interp:
             return ~int(value)
         raise InterpError(f"unknown unary {e.op}", e.loc)
 
-    def _ptr_scale(self, qt: Optional[QualType]) -> int:
-        if qt is None:
-            return 1
-        if qt.is_pointer or qt.is_array:
-            return qt.pointee().base.size(self.structs)
-        return 1
-
     def _binop_meta(self, e: A.Binop) -> tuple:
         """Static facts about one binop occurrence, computed once: the
         op code plus pointer-arithmetic scales derived from the operand
@@ -877,11 +754,11 @@ class Interp:
         # must not fail on exotic pointees (e.g. void*) that the lazy
         # path never reached for comparisons.
         try:
-            lscale = self._ptr_scale(lq) if l_ptr else 1
+            lscale = ptr_scale(lq, self.structs) if l_ptr else 1
         except (KeyError, AttributeError):
             lscale = 1
         try:
-            rscale = self._ptr_scale(rq) if r_ptr else 1
+            rscale = ptr_scale(rq, self.structs) if r_ptr else 1
         except (KeyError, AttributeError):
             rscale = 1
         return (opk, l_ptr, r_ptr, lscale, rscale)
@@ -968,14 +845,10 @@ class Interp:
             dst = yield from self.eval_lvalue(e.lhs, thread, frame)
             size = lhs_qt.base.size(self.structs)
             if self.instrument:
-                info = getattr(e.lhs, "sharc_write", None)
-                if info is not None:
-                    yield from self._apply_check(info, dst, size, thread,
-                                                 frame, is_write=True)
-                rinfo = getattr(e.rhs, "sharc_read", None)
-                if rinfo is not None:
-                    yield from self._apply_check(rinfo, src, size, thread,
-                                                 frame, is_write=False)
+                yield from self._apply_check(e.lhs, "sharc_write", dst,
+                                             size, thread, frame, True)
+                yield from self._apply_check(e.rhs, "sharc_read", src,
+                                             size, thread, frame, False)
             self.space.copy_range(dst, src, size, e.loc)
             self.stats.accesses_total += 2
             self.stats.writes += 1
@@ -998,9 +871,9 @@ class Interp:
         op = node.op
         l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
         if op == "+" and l_ptr:
-            return int(lhs) + int(rhs) * self._ptr_scale(lq)
+            return int(lhs) + int(rhs) * ptr_scale(lq, self.structs)
         if op == "-" and l_ptr:
-            return int(lhs) - int(rhs) * self._ptr_scale(lq)
+            return int(lhs) - int(rhs) * ptr_scale(lq, self.structs)
         table = {
             "+": lambda: lhs + rhs, "-": lambda: lhs - rhs,
             "*": lambda: lhs * rhs,
@@ -1025,11 +898,9 @@ class Interp:
         value = yield from self._do_read(e.expr, addr, thread, frame)
         # Null out the source (checked as a write to the source's cell).
         if self.instrument:
-            info = getattr(e, "sharc_src_write", None)
-            if info is not None:
-                size = self._sizeof_node(e.expr)
-                yield from self._apply_check(info, addr, size, thread,
-                                             frame, is_write=True)
+            yield from self._apply_check(
+                e, "sharc_src_write", addr,
+                sizeof_node(e.expr, self.structs), thread, frame, True)
         old = self.space.write(addr, 0, e.loc)
         self.stats.accesses_total += 1
         self.stats.writes += 1
@@ -1448,7 +1319,7 @@ def resolve_backend(backend: Optional[str]) -> str:
 def make_interp(checked: CheckedProgram, *,
                 backend: Optional[str] = None, **kwargs) -> Interp:
     """Instantiates the right executor for ``backend`` — the tree-walker
-    (:class:`Interp`) or the closure-compiling backend
+    (:class:`Interp`) or the code-generating backend
     (:class:`repro.compile.CompiledInterp`).  Both run the same checked
     program bit-identically by seed; only steps/sec differs."""
     if resolve_backend(backend) == "compiled":

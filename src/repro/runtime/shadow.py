@@ -54,6 +54,12 @@ Two further entry points serve the static check-elimination pass
   and cache maintenance as a scalar check over the same range; only the
   ``range_calls`` counter tells them apart.  ``chkread``/``chkwrite``
   delegate to them automatically above ``range_threshold`` granules.
+
+:func:`make_dynamic_check` is the paper's ``chkread``/``chkwrite``
+routine as instrumented code calls it: one closure per check site, with
+the site's static marks folded in, that picks among the solo test, the
+guarded discharges and the full or range-batched check.  Both execution
+backends call it, so there is one implementation of the check.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import Loc
-from repro.sharc.reports import Access
+from repro.obs.events import CAT_CHECK
+from repro.sharc.reports import Access, read_conflict, write_conflict
 
 GRANULE_SHIFT = 4  # 16-byte granules
 SHADOW_PAGE = 4096
@@ -501,3 +508,146 @@ class ShadowMemory:
         """4 KiB pages of shadow memory ever dirtied."""
         per_page = SHADOW_PAGE // self.nbytes
         return len({g // per_page for g in self.touched})
+
+
+def make_dynamic_check(info, size: int, is_write: bool):
+    """``chkread``/``chkwrite`` for one ``dynamic``/``dynamic_in`` access
+    site: the n-readers-or-1-writer discipline, as a closure
+    ``check(I, thread, addr)`` over the site's
+    :class:`~repro.sharc.typecheck.AccessInfo` and access size.
+
+    The static marks decide here which guarded discharges are reachable
+    at all; the runtime ablation switches (``I.checkelim``,
+    ``I.lockset``, ``I.absint``) are read on every call, so one closure
+    serves every run of the program.  Every branch also lands in the
+    per-site attribution counters (``stats.sites``,
+    :mod:`repro.obs.sitestats` layout) — pure observation, so it cannot
+    perturb steps, reports, or RNG."""
+    elide = info.elide
+    refined = info.lockset_refined
+    rlock = info.refined_lock
+    range_walk = info.range_walk
+    ai_elide = info.ai_elide
+    ai_range = info.ai_range
+    lvtext = info.lvalue_text
+    loc = info.loc
+    skey = info.site_key_w if is_write else info.site_key_r
+    op = "chkwrite" if is_write else "chkread"
+    make_report = write_conflict if is_write else read_conflict
+
+    def check(I, th, addr):
+        stats = I.stats
+        stats.accesses_dynamic += 1
+        site = stats.sites.get(skey)
+        if site is None:
+            site = stats.sites[skey] = [0] * 9
+        tid = th.tid
+        if I.sched.live_count <= 1:
+            # Only one live thread: a spawn happens-after every access
+            # made so far, so these accesses can never be part of a
+            # race; recording them would only manufacture
+            # init-then-share false positives.  Provenance is still
+            # recorded: a later conflict's history should show the
+            # single-threaded initialisation too.
+            site[0] += 1  # solo
+            site[8] += 1  # cost
+            I._pending += 1
+            stats.steps_total += 1
+            stats.steps_checks += 1
+            if I.history is not None:
+                I.history.record(addr, size, tid, lvtext, loc, is_write,
+                                 stats.steps_total)
+            return
+        shadow = I.shadow
+        # The three discharges below only fire when their runtime guard
+        # replays exactly the fast path the full check would have taken
+        # (same counters, no conflict possible, no bitmap writes), so a
+        # wrong mark costs a probe, never a missed race, and history,
+        # cost and trace stay byte-identical to the ablated run.
+        if elide and I.checkelim \
+                and shadow.recheck(addr, size, tid, is_write):
+            # statically elided check (repro.sharc.checkelim)
+            stats.checks_elided += 1
+            site[3] += 1  # elided
+            site[8] += 1  # cost
+            if I.history is not None:
+                I.history.record(addr, size, tid, lvtext, loc, is_write,
+                                 stats.steps_total)
+            I._pending += 1
+            stats.steps_total += 1
+            stats.steps_checks += 1
+            if I.bus is not None:
+                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
+                           conflict=False, elided=True, lvalue=lvtext)
+            return
+        if refined and I.lockset \
+                and I.locks.holds_for_access(
+                    tid, I.globals_env.get(rlock, -1), is_write) \
+                and shadow.recheck_locked(addr, size, tid, is_write,
+                                          lvtext, loc):
+            # locked(l)-refined check (repro.sharc.lockset): the
+            # held-lock-log test confirms the static lockset
+            stats.checks_locked_refined += 1
+            site[4] += 1  # locked
+            site[8] += 1  # cost
+            if I.history is not None:
+                I.history.record(addr, size, tid, lvtext, loc, is_write,
+                                 stats.steps_total)
+            I._pending += 1
+            stats.steps_total += 1
+            stats.steps_checks += 1
+            if I.bus is not None:
+                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
+                           conflict=False, locked=True, lvalue=lvtext)
+            return
+        if ai_elide and I.absint \
+                and shadow.recheck(addr, size, tid, is_write):
+            # interval-proved cover (repro.sharc.absint)
+            stats.checks_ai_elided += 1
+            site[5] += 1  # ai
+            site[8] += 1  # cost
+            if I.history is not None:
+                I.history.record(addr, size, tid, lvtext, loc, is_write,
+                                 stats.steps_total)
+            I._pending += 1
+            stats.steps_total += 1
+            stats.steps_checks += 1
+            if I.bus is not None:
+                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
+                           conflict=False, ai=True, lvalue=lvtext)
+            return
+        if (range_walk and I.checkelim) or (ai_range and I.absint):
+            # Monotone array walk: the range-batched APIs (identical
+            # semantics, page lookup hoisted out of the granule loop).
+            chk = shadow.chkwrite_range if is_write else shadow.chkread_range
+            stats.checks_range += 1
+            site[2] += 1  # range
+        else:
+            chk = shadow.chkwrite if is_write else shadow.chkread
+            stats.checks_full += 1
+            site[1] += 1  # full
+        conflict, slow = chk(addr, size, tid, lvtext, loc)
+        if slow:
+            site[6] += 1  # miss (left the fast path)
+        if conflict is not None:
+            site[7] += 1  # conflicts
+            who = Access(tid, lvtext, loc)
+            # Provenance is fetched *before* recording this access, so
+            # the hist lines show the accesses leading up to it.
+            hist = (I.history.provenance(addr, size)
+                    if I.history is not None else ())
+            I._report(make_report(addr, who, conflict.as_access(), hist))
+        if I.history is not None:
+            I.history.record(addr, size, tid, lvtext, loc, is_write,
+                             stats.steps_total)
+        # Fast path (bits already set): a load + test.  Slow path: a
+        # cmpxchg per granule.
+        cost = 1 + 3 * slow
+        site[8] += cost
+        I._pending += cost
+        stats.steps_total += cost
+        stats.steps_checks += cost
+        if I.bus is not None:
+            I.bus.emit(CAT_CHECK, op, tid, dur=cost, hit=(slow == 0),
+                       conflict=conflict is not None, lvalue=lvtext)
+    return check

@@ -96,6 +96,33 @@ class TestRun:
         assert main(["run", clean_file, "--rc", "naive"]) == 0
 
 
+class TestUnreadableInput:
+    """A missing or unreadable input file ends in a one-line diagnostic
+    and exit code 2, never a traceback and never exit 1 ("reports
+    found")."""
+
+    @pytest.mark.parametrize("command", [["run"], ["run", "--profile"],
+                                         ["check"], ["analyze"], ["infer"],
+                                         ["explore"], ["trace"]])
+    def test_missing_file(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.c")
+        assert main(command + [missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{command[0]}: cannot read {missing}: "
+                                "No such file or directory\n")
+
+    @pytest.mark.parametrize("command", ["run", "check", "analyze"])
+    def test_directory_and_non_utf8_file(self, command, tmp_path, capsys):
+        binary = tmp_path / "binary.c"
+        binary.write_bytes(b"\xff\xfe\x00int main() { return 0; }")
+        for path in (str(tmp_path), str(binary)):
+            assert main([command, path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command}: cannot read {path}: ")
+            assert err.count("\n") == 1
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -5,11 +5,15 @@ scheduling policies.  Only wall time may differ.
 
 This holds by construction: the compiled executor subclasses the
 tree-walker and overrides nothing but how function bodies produce their
-scheduler items (pre-compiled closures and generated source instead of
-AST dispatch); scheduler, shadow memory, lock table, RC scheme, RNG
-streams, and tracing are the inherited machinery, shared verbatim.
+scheduler items (generated source instead of AST dispatch); scheduler,
+shadow memory, the dynamic check, lock table, RC scheme, RNG streams,
+and tracing are the inherited machinery, shared verbatim.
 These tests keep the construction honest.
 """
+
+import glob
+import json
+import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +131,31 @@ class TestBackendResolution:
         assert set(BACKENDS) == {"interp", "compiled"}
 
 
+def _compile_gate_sources() -> list:
+    """A ``pytest.param(source, id=name)`` for every program the compile
+    gate covers:
+    the gate program, both variants of each Table 1 workload model,
+    ``examples/*.c``, and the committed fuzz corpus's programs."""
+    from repro.bench.workloads import all_workloads
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    sources = [("RACY", RACY)]
+    for workload in all_workloads():
+        sources.append((f"{workload.name}-annotated",
+                        workload.annotated_source))
+        sources.append((f"{workload.name}-unannotated",
+                        workload.unannotated_source))
+    for path in sorted(glob.glob(os.path.join(root, "examples", "*.c"))):
+        with open(path, encoding="utf-8") as handle:
+            sources.append((os.path.basename(path), handle.read()))
+    corpus = os.path.join(root, "tests", "fuzz", "corpus")
+    for path in sorted(glob.glob(os.path.join(corpus, "*.json"))):
+        with open(path, encoding="utf-8") as handle:
+            sources.append((os.path.basename(path),
+                            json.load(handle)["source"]))
+    return [pytest.param(source, id=name) for name, source in sources]
+
+
 class TestCompilationArtifact:
     def test_compile_is_cached_per_program(self):
         # One compile serves every seed/policy run of the program.
@@ -139,6 +168,18 @@ class TestCompilationArtifact:
         checked = check_ok(RACY)
         compiled = make_interp(checked, backend="compiled").compiled
         assert set(compiled.funcs) >= {"main", "w", "bump"}
+
+    @pytest.mark.parametrize("source", _compile_gate_sources())
+    def test_every_function_compiles_to_generated_code(self, source):
+        # No silent fallback: a codegen regression would otherwise drop
+        # functions to the tree-walker, bit-identically and unnoticed.
+        checked = check_ok(source)
+        compiled = make_interp(checked, backend="compiled").compiled
+        assert compiled.failed == {}
+        defined = {f.name for f in checked.program.functions()
+                   if f.body is not None}
+        assert set(compiled.funcs) == defined
+        assert {f.tier for f in compiled.funcs.values()} == {"codegen"}
 
     def test_compiled_run_is_actually_faster_on_a_hot_loop(self):
         # Not a benchmark — just a smoke check that the backend isn't
