@@ -109,13 +109,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if checked.ok else 1
 
 
-#: version tag of the ``sharc analyze --json`` payload.  ``/1`` lacked
-#: the ``absint`` section (interval verdicts per static race, AI
-#: discharge census, interference environment) that ``/2`` added with
-#: the abstract interpreter; readers go through
-#: :func:`upgrade_analyze_payload`.
-ANALYZE_SCHEMA_V1 = "sharc-analyze/1"
-ANALYZE_SCHEMA = "sharc-analyze/2"
+#: version tag of the ``sharc analyze --json`` payload
+ANALYZE_SCHEMA = "sharc-analyze/3"
 
 
 def _mode_text(qt) -> str | None:
@@ -123,41 +118,9 @@ def _mode_text(qt) -> str | None:
         else None
 
 
-def upgrade_analyze_payload(payload: dict) -> dict:
-    """Reader shim: accepts a ``/1`` or ``/2`` analyze payload and
-    returns a ``/2`` one.  ``/1`` payloads predate the abstract
-    interpreter, so their ``absint`` section backfills to an empty
-    analysis (no verdicts, zero discharges) plus an ``upgraded_from``
-    marker.  Anything else raises ``ValueError``."""
-    import copy
-
-    schema = payload.get("schema")
-    if schema == ANALYZE_SCHEMA:
-        return payload
-    if schema != ANALYZE_SCHEMA_V1:
-        raise ValueError(
-            f"unsupported analyze schema {schema!r} "
-            f"(expected {ANALYZE_SCHEMA!r} or {ANALYZE_SCHEMA_V1!r})")
-    out = copy.deepcopy(payload)
-    out["schema"] = ANALYZE_SCHEMA
-    out["upgraded_from"] = schema
-    out.setdefault("absint", {
-        "rounds": 0,
-        "terminated": True,
-        "ai_elided_sites": 0,
-        "ai_range_sites": 0,
-        "check_free": [],
-        "interference": {},
-        "refuted": 0,
-        "confirmed": 0,
-        "verdicts": [],
-    })
-    return out
-
-
 def analyze_payload(checked) -> dict:
     """The machine-readable ``sharc analyze`` view of one checked
-    program (schema ``sharc-analyze/2``)."""
+    program (schema ``sharc-analyze/3``)."""
     ls = checked.lockset_result
     ai = checked.absint_result
     program = checked.program
@@ -196,10 +159,6 @@ def analyze_payload(checked) -> dict:
         "absint": {
             "rounds": ai.rounds,
             "terminated": ai.terminated,
-            "ai_elided_sites": ai.stats.ai_elided,
-            "ai_range_sites": ai.stats.ai_ranges,
-            "check_free": sorted(n for n, clean in ai.check_free.items()
-                                 if clean),
             "interference": ai.interference_encoded(),
             "refuted": ai.refuted,
             "confirmed": ai.confirmed,
@@ -259,11 +218,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if args.ai:
             ai = checked.absint_result
             print("== abstract interpretation ==")
-            if ai.check_free:
-                clean = sorted(n for n, ok in ai.check_free.items()
-                               if ok)
-                print("  check-free functions: "
-                      + (", ".join(clean) if clean else "(none)"))
             if ai.interference:
                 print("  interference environment:")
                 for key, iv in sorted(ai.interference_encoded().items()):
@@ -312,7 +266,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                                     max_steps=args.max_steps,
                                     checkelim=not args.no_checkelim,
                                     lockset=not args.no_lockset,
-                                    absint=not args.no_absint,
                                     backend=args.backend,
                                     profiler=profiler)
         except SharcError as exc:
@@ -330,7 +283,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                          max_steps=args.max_steps,
                          checkelim=not args.no_checkelim,
                          lockset=not args.no_lockset,
-                         absint=not args.no_absint,
                          trace=trace_config, backend=args.backend)
     if result.output:
         print(result.output, end="")
@@ -372,8 +324,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         argv.append("--no-checkelim")
     if args.no_lockset:
         argv.append("--no-lockset")
-    if args.no_absint:
-        argv.append("--no-absint")
     if args.compare is not None:
         argv += ["--compare", args.compare,
                  "--compare-threshold", str(args.compare_threshold),
@@ -452,7 +402,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     common = dict(seeds=args.seeds, seed_start=args.seed_start,
                   policies=policies, jobs=args.jobs,
                   max_steps=args.max_steps, backend=args.backend,
-                  absint=not args.no_absint,
                   telemetry=telemetry, progress=progress)
     summary = sweep = None
     sweeps: list = []
@@ -800,7 +749,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = args.out or os.path.join(args.dir, "report.html")
     try:
         path = write_report(args.dir, out, title=args.title)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
     print(f"report written to {path}")
@@ -889,9 +838,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(the CI lint gate)")
     p.add_argument("--ai", action="store_true",
                    help="also print the abstract-interpretation view: "
-                        "check-free functions, the stabilised "
-                        "interference environment, and per-race "
-                        "interval verdicts with witness bounds")
+                        "the stabilised interference environment and "
+                        "per-race interval verdicts with witness bounds")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("infer", help="show inferred qualifiers")
@@ -921,10 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ablation: disable the locked(l) lockset "
                         "refinement (identical reports/steps, more "
                         "shadow walks)")
-    p.add_argument("--no-absint", action="store_true",
-                   help="ablation: disable the abstract interpreter's "
-                        "interval-proved check discharges (identical "
-                        "reports/steps, more full checks)")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="record structured runtime events: Chrome "
                         "trace-event JSON (Perfetto), or JSON Lines "
@@ -951,12 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-lockset", action="store_true",
                    help="ablation: disable the locked(l) lockset "
                         "refinement")
-    p.add_argument("--no-absint", action="store_true",
-                   help="ablation: disable the abstract interpreter's "
-                        "interval-proved check discharges")
     p.add_argument("--compare", default=None, metavar="OLD.json",
                    help="diff against a previous BENCH_interp.json "
-                        "(schema /1 through /5); exit 3 on regression")
+                        "(same schema); exit 3 on regression")
     p.add_argument("--compare-threshold", type=float, default=0.5,
                    help="allowed fractional steps/sec drop for "
                         "--compare (default 0.5)")
@@ -1023,10 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="executor for every schedule (outcomes are "
                         "backend-invariant; compiled sweeps faster)")
-    p.add_argument("--no-absint", action="store_true",
-                   help="ablation: disable the abstract interpreter's "
-                        "interval-proved check discharges in every "
-                        "schedule (outcomes are identical either way)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="write a schema-validated metrics.json "

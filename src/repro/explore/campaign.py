@@ -60,8 +60,8 @@ from repro.explore.driver import (
 from repro.explore.queue import WorkQueue
 from repro.runtime.profile import Profiler
 
-CAMPAIGN_SCHEMA = "sharc-campaign/1"
-SHARD_SCHEMA = "sharc-campaign-shard/1"
+CAMPAIGN_SCHEMA = "sharc-campaign/2"
+SHARD_SCHEMA = "sharc-campaign-shard/2"
 
 #: default shard size: large enough to amortize fold/flush overhead,
 #: small enough that kill-and-resume loses little work and coverage
@@ -694,6 +694,10 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
     with summary.profiler.phase("refold"):
         for lease in queue.completed():
             payload = queue.load_shard(lease["shard"])
+            if payload.get("schema") != SHARD_SCHEMA:
+                raise ValueError(
+                    f"{queue.shard_path(lease['shard'])}: unknown "
+                    f"campaign shard schema {payload.get('schema')!r}")
             new = _fold_shard(summary, lease, payload, corpus)
             cell = cell_index[(lease["label"], lease["policy"])]
             cell.record(lease["seeds"], new)

@@ -256,7 +256,6 @@ def differential_sweep(source: str, filename: str = "<input>", *,
                        max_burst: int = 8,
                        world_factory: Optional[Callable] = None,
                        backend: Optional[str] = None,
-                       absint: bool = True,
                        telemetry=None,
                        progress: Optional[Callable] = None,
                        ) -> DifferentialSummary:
@@ -264,11 +263,9 @@ def differential_sweep(source: str, filename: str = "<input>", *,
     diffs the verdicts schedule by schedule; the static lockset verdict
     (computed once, no execution) is scored against each, and each
     static race carries the abstract interpreter's interval verdict
-    (the AI precision column).  ``absint=False`` ablates the AI
-    discharges at runtime; the static verdict column is computed either
-    way.  ``telemetry``
-    and ``progress`` are forwarded to both sweeps (they accumulate
-    across the two, so done/total covers the whole campaign); an
+    (the AI precision column).  ``telemetry`` and ``progress`` are
+    forwarded to both sweeps (they accumulate across the two, so
+    done/total covers the whole campaign); an
     interrupt during the sharc sweep skips the eraser sweep entirely
     and returns a partial summary instead of starting a second
     uninterruptible grid."""
@@ -277,7 +274,7 @@ def differential_sweep(source: str, filename: str = "<input>", *,
     common = dict(seeds=seeds, seed_start=seed_start, policies=policies,
                   jobs=jobs, max_steps=max_steps, max_burst=max_burst,
                   world_factory=world_factory, backend=backend,
-                  absint=absint, telemetry=telemetry, progress=progress)
+                  telemetry=telemetry, progress=progress)
     sharc = explore_source(source, filename, checker="sharc", **common)
     if sharc.interrupted:
         eraser = ExplorationSummary(filename=filename, checker="eraser",

@@ -43,7 +43,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import (
-    METRICS_SCHEMA, MetricsRegistry, upgrade_metrics_payload,
+    METRICS_SCHEMA, MetricsRegistry, load_metrics_payload,
     validate_metrics, write_metrics,
 )
 from repro.obs.report import build_report, write_report
@@ -82,6 +82,7 @@ __all__ = [
     "decode_sites",
     "encode_sites",
     "jsonl_records",
+    "load_metrics_payload",
     "merge_sites",
     "parse_filter",
     "read_jsonl",
@@ -91,7 +92,6 @@ __all__ = [
     "render_summary",
     "site_rows",
     "supports_live",
-    "upgrade_metrics_payload",
     "validate_chrome_trace",
     "validate_jsonl_records",
     "validate_metrics",

@@ -19,12 +19,8 @@ one machine-readable account of where the checking effort went.  A
 
 ``sharc explore --metrics-out metrics.json`` writes the registry; the
 payload is schema-checked (:func:`validate_metrics`) before it touches
-disk, mirroring how ``BENCH_interp.json`` is handled.  Older payloads
-on disk upgrade in place via :func:`upgrade_metrics_payload`
-(``/1`` added no static section, ``/2`` no crash accounting, ``/3`` no
-site attribution, ``/4`` no abstract-interpretation precision column —
-``/5`` adds the ``absint`` section with per-race interval verdicts and
-the ``ai`` per-site discharge counter).
+disk, mirroring how ``BENCH_interp.json`` is handled.  Readers accept
+exactly the current schema (:func:`load_metrics_payload`).
 """
 
 from __future__ import annotations
@@ -33,12 +29,7 @@ import json
 
 from repro.obs import sitestats
 
-METRICS_SCHEMA = "sharc-metrics/5"
-
-#: every schema tag this module can read (oldest first)
-KNOWN_SCHEMAS = ("sharc-metrics/1", "sharc-metrics/2",
-                 "sharc-metrics/3", "sharc-metrics/4",
-                 "sharc-metrics/5")
+METRICS_SCHEMA = "sharc-metrics/6"
 
 
 def _rate(hits: int, total: int) -> float:
@@ -340,61 +331,15 @@ def validate_metrics(payload: dict) -> list:
     return problems
 
 
-def upgrade_metrics_payload(payload: dict) -> dict:
-    """Upgrades a metrics payload written by an older release to the
-    current :data:`METRICS_SCHEMA` (a shallow-copied upgrade; the input
-    is never mutated):
-
-    - ``/1`` predates the static-agreement section — an empty one is
-      synthesized;
-    - ``/2`` predates crash accounting — zero ``crashed_schedules`` /
-      per-policy ``crashes`` are filled in;
-    - ``/3`` predates site attribution — an empty ``sites`` section is
-      synthesized;
-    - ``/4`` predates the abstract interpreter — an empty ``absint``
-      section is synthesized and every site row gets ``ai: 0`` (no AI
-      discharges happened in pre-/5 runs).
-
-    Raises ``ValueError`` on a schema tag this module has never
-    written.
-    """
-    schema = payload.get("schema")
-    if schema not in KNOWN_SCHEMAS:
-        raise ValueError(f"unknown metrics schema {schema!r} "
-                         f"(known: {', '.join(KNOWN_SCHEMAS)})")
-    version = int(schema.rsplit("/", 1)[1])
-    out = dict(payload)
-    out["totals"] = dict(payload.get("totals", {}))
-    out["sweeps"] = [dict(row) for row in payload.get("sweeps", [])]
-    out["per_policy"] = {policy: dict(row) for policy, row
-                        in payload.get("per_policy", {}).items()}
-    if version < 2:
-        out.setdefault("static", {"races": 0, "agreement": {}})
-    if version < 3:
-        out["totals"].setdefault("crashed_schedules", 0)
-        for row in out["sweeps"]:
-            row.setdefault("crashed_schedules", 0)
-        for row in out["per_policy"].values():
-            row.setdefault("crashes", 0)
-    if version < 4:
-        out.setdefault("sites", {"totals": sitestats.totals({}),
-                                 "rows": []})
-    if version < 5:
-        out.setdefault("absint", {"refuted": 0, "confirmed": 0,
-                                  "verdicts": []})
-        sites = out.get("sites")
-        if isinstance(sites, dict):
-            out["sites"] = sites = dict(sites)
-            if isinstance(sites.get("totals"), dict):
-                sites["totals"] = dict(sites["totals"])
-                sites["totals"].setdefault("ai", 0)
-            sites["rows"] = [dict(row) if isinstance(row, dict) else row
-                             for row in sites.get("rows", [])]
-            for row in sites["rows"]:
-                if isinstance(row, dict):
-                    row.setdefault("ai", 0)
-    out["schema"] = METRICS_SCHEMA
-    return out
+def load_metrics_payload(payload) -> dict:
+    """Returns ``payload`` when it carries the current
+    :data:`METRICS_SCHEMA`; raises ``ValueError`` naming the tag it
+    found otherwise."""
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != METRICS_SCHEMA:
+        raise ValueError(f"unsupported metrics schema {schema!r} "
+                         f"(expected {METRICS_SCHEMA!r})")
+    return payload
 
 
 def write_metrics(registry: MetricsRegistry, path: str) -> dict:

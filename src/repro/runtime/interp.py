@@ -38,6 +38,8 @@ from repro.obs.events import (
     CAT_CHECK, CAT_CONFLICT, CAT_SCAST, CAT_SCHED, TraceBus, TraceConfig,
 )
 from repro.obs.history import AccessHistory
+from repro.obs.sitestats import (I_CONFLICTS, I_COST, I_MISS, I_RANGE,
+                                 I_SOLO, new_counter)
 from repro.cfront.ctypes import ArrayType, FuncType, QualType, StructType
 from repro.sharc.checker import CheckedProgram
 from repro.sharc.reports import (
@@ -249,7 +251,6 @@ class Interp:
                  checker: str = "sharc",
                  checkelim: bool = True,
                  lockset: bool = True,
-                 absint: bool = True,
                  record_trace: bool = False,
                  trace: Optional[TraceConfig] = None) -> None:
         self.checked = checked
@@ -266,13 +267,6 @@ class Interp:
         #: ``--no-lockset`` is bit-identical in reports, steps, and
         #: scheduler RNG.
         self.lockset = lockset
-        #: consume the abstract interpreter's interval-proved marks
-        #: (repro.sharc.absint)?  Same ablation contract again:
-        #: ``--no-absint`` is bit-identical in reports, steps, and
-        #: scheduler RNG — every ``ai_elide`` discharge revalidates
-        #: through ``ShadowMemory.recheck`` and every ``ai_range``
-        #: route uses the semantically identical range-batched APIs.
-        self.absint = absint
         #: "sharc" (mode-targeted checks) or "eraser" (the lockset
         #: baseline of Section 6.2: every access monitored)
         self.eraser = None
@@ -439,14 +433,13 @@ class Interp:
         self.stats.accesses_dynamic += 1
         self.stats.accesses_total += 1
         is_write = "w" in rw
-        site = self.stats.sites.get(info.site_key_w if is_write
-                                    else info.site_key_r)
+        skey = info.site_key_w if is_write else info.site_key_r
+        site = self.stats.sites.get(skey)
         if site is None:
-            site = self.stats.sites[info.site_key_w if is_write
-                                    else info.site_key_r] = [0] * 9
+            site = self.stats.sites[skey] = new_counter()
         if self._solo():
-            site[0] += 1  # solo
-            site[8] += 1  # cost
+            site[I_SOLO] += 1
+            site[I_COST] += 1
             self._charge_check(1)
             if self.history is not None:
                 self.history.record(addr, length, thread.tid,
@@ -480,18 +473,18 @@ class Interp:
                                            conflict.as_access(), hist))
         if counted:
             self.stats.checks_range += 1
-            site[2] += 1  # range
+            site[I_RANGE] += 1
             if slow:
-                site[6] += 1  # miss
+                site[I_MISS] += 1
             if conflict is not None:
-                site[7] += 1  # conflicts
+                site[I_CONFLICTS] += 1
         if self.history is not None and rw:
             self.history.record(addr, length, thread.tid,
                                 info.lvalue_text, info.loc, is_write,
                                 self.stats.steps_total)
         cost = 1 + 3 * slow
         self._charge_check(cost)
-        site[8] += cost
+        site[I_COST] += cost
         if self.bus is not None:
             self.bus.emit(CAT_CHECK,
                           "chkwrite" if is_write else "chkread",
@@ -1336,7 +1329,6 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
                 checker: str = "sharc",
                 checkelim: bool = True,
                 lockset: bool = True,
-                absint: bool = True,
                 record_trace: bool = False,
                 trace: Optional[TraceConfig] = None,
                 backend: Optional[str] = None) -> RunResult:
@@ -1344,10 +1336,9 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
     spec string (``"random"``, ``"pct:4"``, ...) or a
     :class:`~repro.runtime.scheduler.SchedulingPolicy` instance.
     ``trace`` enables structured event tracing (:mod:`repro.obs`);
-    ``checkelim=False`` ablates the static check eliminator,
-    ``lockset=False`` the locked(l) qualifier refinement, and
-    ``absint=False`` the abstract interpreter's interval-proved
-    discharges.  ``backend`` selects the executor: ``"interp"`` (the
+    ``checkelim=False`` ablates the static check eliminator and
+    ``lockset=False`` the locked(l) qualifier refinement.
+    ``backend`` selects the executor: ``"interp"`` (the
     tree-walker) or ``"compiled"`` (:mod:`repro.compile`), which runs
     the same program bit-identically — same steps, reports, and
     scheduler RNG — at a multiple of the throughput; ``None`` defers
@@ -1357,7 +1348,6 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
                          instrument=instrument, shadow_bytes=shadow_bytes,
                          max_burst=max_burst, checker=checker,
                          checkelim=checkelim, lockset=lockset,
-                         absint=absint,
                          record_trace=record_trace, trace=trace)
     result = interp.run(max_steps=max_steps)
     if record_trace:

@@ -69,6 +69,9 @@ from typing import Optional
 
 from repro.errors import Loc
 from repro.obs.events import CAT_CHECK
+from repro.obs.sitestats import (I_CONFLICTS, I_COST, I_ELIDED, I_FULL,
+                                 I_LOCKED, I_MISS, I_RANGE, I_SOLO,
+                                 new_counter)
 from repro.sharc.reports import Access, read_conflict, write_conflict
 
 GRANULE_SHIFT = 4  # 16-byte granules
@@ -232,18 +235,10 @@ class ShadowMemory:
         Returns False having done *nothing* when any granule would go
         slow or conflict: the caller must fall back to the full check,
         which then reports/updates exactly as it would have anyway."""
-        if size <= 0:
-            return True  # no granules: the full check is a no-op
+        if self.recheck(addr, size, tid, is_write):
+            return True  # the cache-hit prefix (or no granules at all)
         first = addr >> GRANULE_SHIFT
         last = (addr + (size if size > 1 else 1) - 1) >> GRANULE_SHIFT
-        cached = self._cache.get(tid)
-        if cached is not None and cached[0] == first \
-                and cached[1] == last and cached[3] == self._version \
-                and (cached[2] or not is_write):
-            n = last - first + 1
-            self.updates += n
-            self.fastpath_hits += n
-            return True
         self._check_tid(tid)
         mybit = 1 << tid
         want = (mybit | 1) if is_write else mybit
@@ -518,29 +513,33 @@ def make_dynamic_check(info, size: int, is_write: bool):
 
     The static marks decide here which guarded discharges are reachable
     at all; the runtime ablation switches (``I.checkelim``,
-    ``I.lockset``, ``I.absint``) are read on every call, so one closure
-    serves every run of the program.  Every branch also lands in the
-    per-site attribution counters (``stats.sites``,
-    :mod:`repro.obs.sitestats` layout) — pure observation, so it cannot
-    perturb steps, reports, or RNG."""
+    ``I.lockset``) are read on every call, so one closure serves every
+    run of the program.  Every branch also lands in the per-site
+    attribution counters (``stats.sites``, :mod:`repro.obs.sitestats`
+    layout) — pure observation, so it cannot perturb steps, reports, or
+    RNG."""
     elide = info.elide
     refined = info.lockset_refined
     rlock = info.refined_lock
     range_walk = info.range_walk
-    ai_elide = info.ai_elide
-    ai_range = info.ai_range
     lvtext = info.lvalue_text
     loc = info.loc
     skey = info.site_key_w if is_write else info.site_key_r
     op = "chkwrite" if is_write else "chkread"
     make_report = write_conflict if is_write else read_conflict
+    # The site counter layout as closure cells: no global lookups on
+    # the hot path.
+    solo, full, rng, elided, locked = (I_SOLO, I_FULL, I_RANGE, I_ELIDED,
+                                       I_LOCKED)
+    miss, conflicts, charged = I_MISS, I_CONFLICTS, I_COST
+    elided_label, locked_label = {"elided": True}, {"locked": True}
 
     def check(I, th, addr):
         stats = I.stats
         stats.accesses_dynamic += 1
         site = stats.sites.get(skey)
         if site is None:
-            site = stats.sites[skey] = [0] * 9
+            site = stats.sites[skey] = new_counter()
         tid = th.tid
         if I.sched.live_count <= 1:
             # Only one live thread: a spawn happens-after every access
@@ -549,8 +548,8 @@ def make_dynamic_check(info, size: int, is_write: bool):
             # init-then-share false positives.  Provenance is still
             # recorded: a later conflict's history should show the
             # single-threaded initialisation too.
-            site[0] += 1  # solo
-            site[8] += 1  # cost
+            site[solo] += 1
+            site[charged] += 1
             I._pending += 1
             stats.steps_total += 1
             stats.steps_checks += 1
@@ -559,28 +558,18 @@ def make_dynamic_check(info, size: int, is_write: bool):
                                  stats.steps_total)
             return
         shadow = I.shadow
-        # The three discharges below only fire when their runtime guard
-        # replays exactly the fast path the full check would have taken
-        # (same counters, no conflict possible, no bitmap writes), so a
-        # wrong mark costs a probe, never a missed race, and history,
-        # cost and trace stay byte-identical to the ablated run.
+        # A discharge only fires when its runtime guard replays exactly
+        # the fast path the full check would have taken (same counters,
+        # no conflict possible, no bitmap writes), so a wrong mark costs
+        # a probe, never a missed race, and history, cost and trace stay
+        # byte-identical to the ablated run.  The pass that earned the
+        # mark is only a counter and an event label.
         if elide and I.checkelim \
                 and shadow.recheck(addr, size, tid, is_write):
             # statically elided check (repro.sharc.checkelim)
             stats.checks_elided += 1
-            site[3] += 1  # elided
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, elided=True, lvalue=lvtext)
-            return
-        if refined and I.lockset \
+            kind, label = elided, elided_label
+        elif refined and I.lockset \
                 and I.locks.holds_for_access(
                     tid, I.globals_env.get(rlock, -1), is_write) \
                 and shadow.recheck_locked(addr, size, tid, is_write,
@@ -588,66 +577,57 @@ def make_dynamic_check(info, size: int, is_write: bool):
             # locked(l)-refined check (repro.sharc.lockset): the
             # held-lock-log test confirms the static lockset
             stats.checks_locked_refined += 1
-            site[4] += 1  # locked
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, locked=True, lvalue=lvtext)
-            return
-        if ai_elide and I.absint \
-                and shadow.recheck(addr, size, tid, is_write):
-            # interval-proved cover (repro.sharc.absint)
-            stats.checks_ai_elided += 1
-            site[5] += 1  # ai
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, ai=True, lvalue=lvtext)
-            return
-        if (range_walk and I.checkelim) or (ai_range and I.absint):
-            # Monotone array walk: the range-batched APIs (identical
-            # semantics, page lookup hoisted out of the granule loop).
-            chk = shadow.chkwrite_range if is_write else shadow.chkread_range
-            stats.checks_range += 1
-            site[2] += 1  # range
+            kind, label = locked, locked_label
         else:
-            chk = shadow.chkwrite if is_write else shadow.chkread
-            stats.checks_full += 1
-            site[1] += 1  # full
-        conflict, slow = chk(addr, size, tid, lvtext, loc)
-        if slow:
-            site[6] += 1  # miss (left the fast path)
-        if conflict is not None:
-            site[7] += 1  # conflicts
-            who = Access(tid, lvtext, loc)
-            # Provenance is fetched *before* recording this access, so
-            # the hist lines show the accesses leading up to it.
-            hist = (I.history.provenance(addr, size)
-                    if I.history is not None else ())
-            I._report(make_report(addr, who, conflict.as_access(), hist))
+            if range_walk and I.checkelim:
+                # Monotone array walk: the range-batched APIs (identical
+                # semantics, page lookup hoisted out of the granule
+                # loop).
+                chk = (shadow.chkwrite_range if is_write
+                       else shadow.chkread_range)
+                stats.checks_range += 1
+                site[rng] += 1
+            else:
+                chk = shadow.chkwrite if is_write else shadow.chkread
+                stats.checks_full += 1
+                site[full] += 1
+            conflict, slow = chk(addr, size, tid, lvtext, loc)
+            if slow:
+                site[miss] += 1  # left the fast path
+            if conflict is not None:
+                site[conflicts] += 1
+                who = Access(tid, lvtext, loc)
+                # Provenance is fetched *before* recording this access,
+                # so the hist lines show the accesses leading up to it.
+                hist = (I.history.provenance(addr, size)
+                        if I.history is not None else ())
+                I._report(make_report(addr, who, conflict.as_access(),
+                                      hist))
+            if I.history is not None:
+                I.history.record(addr, size, tid, lvtext, loc, is_write,
+                                 stats.steps_total)
+            # Fast path (bits already set): a load + test.  Slow path:
+            # a cmpxchg per granule.
+            cost = 1 + 3 * slow
+            site[charged] += cost
+            I._pending += cost
+            stats.steps_total += cost
+            stats.steps_checks += cost
+            if I.bus is not None:
+                I.bus.emit(CAT_CHECK, op, tid, dur=cost, hit=(slow == 0),
+                           conflict=conflict is not None, lvalue=lvtext)
+            return
+        # Discharged: the guard replayed the fast path's effects; charge
+        # its single step.
+        site[kind] += 1
+        site[charged] += 1
         if I.history is not None:
             I.history.record(addr, size, tid, lvtext, loc, is_write,
                              stats.steps_total)
-        # Fast path (bits already set): a load + test.  Slow path: a
-        # cmpxchg per granule.
-        cost = 1 + 3 * slow
-        site[8] += cost
-        I._pending += cost
-        stats.steps_total += cost
-        stats.steps_checks += cost
+        I._pending += 1
+        stats.steps_total += 1
+        stats.steps_checks += 1
         if I.bus is not None:
-            I.bus.emit(CAT_CHECK, op, tid, dur=cost, hit=(slow == 0),
-                       conflict=conflict is not None, lvalue=lvtext)
+            I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
+                       conflict=False, **label, lvalue=lvtext)
     return check

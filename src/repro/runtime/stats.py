@@ -57,10 +57,6 @@ class RunStats:
     #: dynamic checks discharged through the held-lock log because the
     #: static lockset analysis refined the location to locked(l)
     checks_locked_refined: int = 0
-    #: statically marked checks discharged by ``ShadowMemory.recheck``
-    #: on the strength of the abstract interpreter's interval proofs
-    #: (repro.sharc.absint) — covers checkelim's dataflow cannot see
-    checks_ai_elided: int = 0
     rc_writes: int = 0
     rc_collections: int = 0
     lock_acquisitions: int = 0
@@ -112,35 +108,33 @@ class RunStats:
             / self.steps_total
 
     @property
+    def checks_ai_elided(self) -> int:
+        """Always 0: the abstract interpreter discharges no check.  Kept
+        readable because the benchmark's ``runtime.checks_discharged``
+        metric (perfbench/spans.py) still adds it in."""
+        return 0
+
+    def _check_share(self, count: int) -> float:
+        """``count`` over every would-be dynamic check past the solo
+        test: the walked (full + range) and the discharged (elided +
+        locked-refined) ones."""
+        total = (self.checks_full + self.checks_range
+                 + self.checks_elided + self.checks_locked_refined)
+        if total <= 0:
+            return 0.0
+        return count / total
+
+    @property
     def checks_elided_pct(self) -> float:
         """Fraction of would-be dynamic checks discharged by the static
         eliminator's runtime guard."""
-        total = self.checks_full + self.checks_range + self.checks_elided
-        if total <= 0:
-            return 0.0
-        return self.checks_elided / total
+        return self._check_share(self.checks_elided)
 
     @property
     def checks_locked_pct(self) -> float:
         """Fraction of would-be dynamic checks discharged through the
         held-lock log thanks to locked(l) lockset refinement."""
-        total = (self.checks_full + self.checks_range
-                 + self.checks_elided + self.checks_locked_refined
-                 + self.checks_ai_elided)
-        if total <= 0:
-            return 0.0
-        return self.checks_locked_refined / total
-
-    @property
-    def checks_ai_elided_pct(self) -> float:
-        """Fraction of would-be dynamic checks discharged by the
-        abstract interpreter's interval-proved marks."""
-        total = (self.checks_full + self.checks_range
-                 + self.checks_elided + self.checks_locked_refined
-                 + self.checks_ai_elided)
-        if total <= 0:
-            return 0.0
-        return self.checks_ai_elided / total
+        return self._check_share(self.checks_locked_refined)
 
     @property
     def metadata_pages(self) -> int:

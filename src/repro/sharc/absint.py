@@ -10,33 +10,14 @@ shared named locations observe the join of every context's abstract
 writes; the engine iterates until that interference environment
 stabilises, widening late rounds so it always terminates.
 
-Two consumers:
-
-- **Discharge** (``AccessInfo.ai_elide`` / ``ai_range``): interval
-  facts prove covers that the syntactic checkelim pass cannot see —
-  re-accesses across calls proven *check-free* (transitively touching
-  no shadow state), and accesses to the same or a nearby granule of an
-  array through *different* index texts whose symbolic offset the
-  intervals bound below the granule size (``buf[i]`` covering
-  ``buf[i + k]`` once the interference fixpoint pins ``k``).  Exactly
-  like checkelim and the lockset refinement, every mark is consumed
-  behind the runtime ``ShadowMemory.recheck`` guard: a wrong mark
-  costs one predicate test, never a missed race, and the ``--no-
-  absint`` ablation is bit-identical in reports, steps, and scheduler
-  RNG.  ``ai_range`` routes monotone walks through the range-batched
-  check APIs (identical semantics) in loops checkelim skipped because
-  they call functions — allowed here when every callee is check-free.
-
-- **Precision** (:class:`RaceVerdict`): each static race the lockset
-  pass reports is scored against the intervals — *interval-refuted*
-  when the racing contexts provably index disjoint slices of the
-  array (the fftw-style partitioning idiom), *interval-confirmed*
-  otherwise — with the per-context witness bounds attached.  The
-  verdicts ride into ``sharc analyze`` (schema ``sharc-analyze/2``)
-  and the differential sweep's AI precision column.
-
-Marks are always computed (like checkelim and lockset); the runtime
-``absint`` switch decides consumption.
+The result is an analysis only: it places no runtime marks.  Each
+static race the lockset pass reports is scored against the intervals
+(:class:`RaceVerdict`) — *interval-refuted* when the racing contexts
+provably index disjoint slices of the array (the fftw-style
+partitioning idiom), *interval-confirmed* otherwise — with the
+per-context witness bounds attached.  The verdicts ride into ``sharc
+analyze`` (schema ``sharc-analyze/3``), the differential sweep's AI
+precision column and the metrics payload.
 """
 
 from __future__ import annotations
@@ -48,51 +29,25 @@ from repro.sharc import domains as D
 from repro.sharc.domains import Interval, TOP, const
 from repro.sharc.interference import (InterferenceEnv,
                                       interference_fixpoint)
-from repro.sharc.libc import is_builtin
-from repro.sharc.lockset import (ACQUIRES, COND_WAITS, RELEASES, SPAWNS,
-                                 TAINTING, LocksetResult, key_text,
-                                 loc_key)
+from repro.sharc.lockset import SPAWNS, LocksetResult, key_text, loc_key
 from repro.sharc.seeds import SeedInfo
-
-#: shadow granule size in bytes (mirrors repro.runtime.shadow)
-GRANULE = 16
-
-#: cover strengths, as in checkelim
-_READ, _WRITE = 1, 2
-
-#: builtins that block, re-schedule wholesale, or touch shadow/rc
-#: state: a call to one of these kills covers even when it checks
-#: nothing itself (marks stay *guarded*, this only tunes mark quality)
-_DIRTY_BUILTINS = (ACQUIRES | RELEASES | COND_WAITS | TAINTING | SPAWNS
-                   | frozenset({"thread_join", "free", "malloc",
-                                "calloc", "realloc", "strdup",
-                                "barrier_init", "barrier_wait",
-                                "exit"}))
 
 #: loop-head widening: iterate once, widen, then verify (plus backstop)
 _LOOP_ITERS = 4
 #: interprocedural parameter-environment propagation rounds per context
 _PARAM_ROUNDS = 3
-#: call-inlining depth cap for the marking pass
+#: call-inlining depth cap for the final walk
 _INLINE_DEPTH = 10
 
 
-@dataclass
 class AbsintStats:
-    """Census of AI-discharged check sites."""
+    """The discharge census of a pass that discharges nothing."""
 
-    ai_elided_reads: int = 0
-    ai_elided_writes: int = 0
-    ai_range_reads: int = 0
-    ai_range_writes: int = 0
-
-    @property
-    def ai_elided(self) -> int:
-        return self.ai_elided_reads + self.ai_elided_writes
-
-    @property
-    def ai_ranges(self) -> int:
-        return self.ai_range_reads + self.ai_range_writes
+    #: always 0 (absint places no marks); the benchmark's
+    #: ``sharc.sites_ai`` metric in perfbench/spans.py still reads it
+    ai_elided = 0
+    #: always 0, and read by perfbench/spans.py for the same reason
+    ai_ranges = 0
 
 
 @dataclass
@@ -130,8 +85,6 @@ class AbsintResult:
     #: observable for the termination tests
     terminated: bool = True
     contexts: tuple = ()
-    #: function name -> proven check-free (no shadow effects, ever)
-    check_free: dict = field(default_factory=dict)
     #: stabilised shared-value environment, ``key -> Interval``
     interference: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)
@@ -149,123 +102,15 @@ class AbsintResult:
                 for k, iv in sorted(self.interference.items())}
 
     def summary(self) -> str:
-        s = self.stats
-        return (f"absint: {s.ai_elided} AI-elidable check site(s) "
-                f"({s.ai_elided_reads} read, {s.ai_elided_writes} "
-                f"write), {s.ai_ranges} AI range-walk site(s), "
-                f"{self.refuted} race(s) interval-refuted / "
+        return (f"absint: {self.refuted} race(s) interval-refuted / "
                 f"{self.confirmed} confirmed, "
                 f"{self.rounds} interference round(s)")
 
 
-# -- check-free function summaries ------------------------------------------
-
-def _call_is_dirty(e: A.Call, defined: dict, dirty: set) -> bool:
-    """Does this call site (transitively) touch shadow, lock, or
-    scheduling state?  ``dirty`` is the current fixpoint iterate."""
-    if e.callee.__class__ is not A.Ident:
-        return True
-    name = e.callee.name
-    if name in defined:
-        return name in dirty
-    if name in _DIRTY_BUILTINS:
-        return True
-    if not is_builtin(name):
-        return True
-    # A builtin with an attached access summary checks its buffers.
-    return bool(getattr(e, "arg_access", None))
-
-
-def compute_check_free(program: A.Program) -> dict:
-    """``fn name -> True`` when no execution of the function can
-    perform a dynamic/lock check, run a sharing cast, or call anything
-    that might — i.e. it cannot perturb the shadow state the
-    ``recheck`` guard consults.  Greatest-fixpoint over the call
-    graph: start from locally-clean and remove callers of dirty
-    functions."""
-    defined = {f.name: f for f in program.functions()
-               if f.body is not None}
-    locally_dirty = set()
-    calls: dict = {name: [] for name in defined}
-    for name, func in defined.items():
-        for e in A.all_exprs(func.body):
-            cls = e.__class__
-            if cls is A.SCastExpr:
-                locally_dirty.add(name)
-                continue
-            if cls is A.Call:
-                calls[name].append(e)
-                continue
-            for attr in ("sharc_read", "sharc_write", "sharc_src_write"):
-                info = getattr(e, attr, None)
-                if info is not None and (info.is_dynamic or info.is_lock):
-                    locally_dirty.add(name)
-                    break
-    dirty = set(locally_dirty)
-    changed = True
-    while changed:
-        changed = False
-        for name in defined:
-            if name in dirty:
-                continue
-            if any(_call_is_dirty(e, defined, dirty)
-                   for e in calls[name]):
-                dirty.add(name)
-                changed = True
-    return {name: name not in dirty for name in defined}
-
-
-# -- index decomposition -----------------------------------------------------
-
-def _anchor_of(e: A.Expr, evaluate) -> tuple | None:
-    """Decompose an index expression as ``anchor_var + offset``:
-    ``("i", [0,0])`` for ``i``, ``("i", iv(k))`` for ``i + k``, and
-    ``("", iv(e))`` for fully-evaluable indices.  ``None`` when the
-    shape is not affine-in-one-variable — those never participate in
-    adjacency covers."""
-    cls = e.__class__
-    if cls is A.Ident:
-        return (e.name, const(0))
-    if cls is A.Binop and e.op in ("+", "-"):
-        lhs, rhs = e.lhs, e.rhs
-        if lhs.__class__ is A.Ident:
-            off = evaluate(rhs)
-            if e.op == "-":
-                off = off.neg()
-            return (lhs.name, off)
-        if e.op == "+" and rhs.__class__ is A.Ident:
-            return (rhs.name, evaluate(lhs))
-    iv = evaluate(e)
-    if iv.is_bounded:
-        return ("", iv)
-    return None
-
-
-def _base_text(e: A.Expr) -> str | None:
-    """A stable textual key for an array/pointer base expression."""
-    cls = e.__class__
-    if cls is A.Ident:
-        return e.name
-    if cls is A.Member:
-        obj = _base_text(e.obj)
-        if obj is None:
-            return None
-        return f"{obj}{'->' if e.arrow else '.'}{e.name}"
-    if cls is A.Unop and e.op == "*":
-        inner = _base_text(e.operand)
-        return None if inner is None else f"*{inner}"
-    return None
-
-
 # -- the analyzer ------------------------------------------------------------
 
-class _Return(Exception):
-    """Internal: unwinds the marking pass out of an inlined callee.
-    (Value analysis never raises it — returns just stop contributing.)"""
-
-
 class _Analyzer:
-    """One whole-program analysis: value environments + cover marking.
+    """One whole-program analysis over per-context value environments.
 
     Two modes share the walk:
 
@@ -274,21 +119,17 @@ class _Analyzer:
       join argument intervals into the callee's parameter environment
       (propagated over :data:`_PARAM_ROUNDS` rounds) and yield its
       joined return interval.
-    - **marking mode** (``inline=True, marking=True``): one walk per
-      context after the fixpoint stabilises, inlining defined calls so
-      covers flow through check-free callees, marking ``ai_elide`` /
-      ``ai_range`` sites.
+    - **final walk** (``inline=True``): one walk per context after the
+      fixpoint stabilises, inlining defined calls so every array index
+      is bounded with its call site's argument intervals.  It records
+      the per-context index ranges the race verdicts are scored on.
     """
 
-    def __init__(self, program: A.Program, seeds: SeedInfo,
-                 structs) -> None:
+    def __init__(self, program: A.Program, seeds: SeedInfo) -> None:
         self.program = program
-        self.structs = structs
         self.defined = {f.name: f for f in program.functions()
                         if f.body is not None}
         self.global_names = frozenset(g.name for g in program.globals())
-        self.check_free = compute_check_free(program)
-        self.stats = AbsintStats()
         roots = sorted(r for r in seeds.thread_roots if r in self.defined)
         self.contexts = tuple(["main"] + [r for r in roots
                                           if r != "main"]
@@ -309,12 +150,12 @@ class _Analyzer:
         self.idx_ranges: dict = {}
         # walk-local state
         self.env: dict = {}
-        self.covers: dict = {}
-        self.acovers: dict = {}
+        #: the current path is dead (after ``break``/``continue``): a
+        #: join with it keeps the other path's state unchanged
+        self.dead = False
         self.context = ""
         self.inter: InterferenceEnv | None = None
         self.inline = False
-        self.marking = False
         self.depth = 0
         self.call_stack: list = []
         self.cur_ret: Interval | None = None
@@ -369,111 +210,46 @@ class _Analyzer:
     def _shared_write(self, key, iv: Interval) -> None:
         self.inter.record(self.context, key, iv)
 
-    def _record_idx(self, key, is_write: bool, idx_iv: Interval) -> None:
-        rk = (self.context, key, "w" if is_write else "r")
+    # -- path state ----------------------------------------------------------
+
+    def _snap(self) -> tuple:
+        return dict(self.env), self.dead
+
+    def _restore(self, snap: tuple) -> None:
+        self.env, self.dead = dict(snap[0]), snap[1]
+
+    def _merge_from(self, snap_a: tuple, snap_b: tuple) -> None:
+        """Install the path-join of two walk states."""
+        if snap_a[1]:
+            self._restore(snap_b)
+        elif snap_b[1]:
+            self._restore(snap_a)
+        else:
+            self.env = D.join_env(snap_a[0], snap_b[0])
+            self.dead = False
+
+    # -- accesses ------------------------------------------------------------
+
+    def _record(self, node: A.Expr, info, is_write: bool,
+                idx_iv: Interval | None) -> None:
+        """One runtime-checked array access at ``node``: joins its index
+        interval into this context's range for the location (the
+        refutation bookkeeping)."""
+        if info is None or not info.is_dynamic or idx_iv is None:
+            return
+        lk = loc_key(node, self.global_names)
+        if lk is None:
+            return
+        rk = (self.context, lk, "w" if is_write else "r")
         prev = self.idx_ranges.get(rk)
         self.idx_ranges[rk] = idx_iv if prev is None \
             else prev.join(idx_iv)
 
-    # -- cover state ---------------------------------------------------------
-
-    def _snap(self) -> tuple:
-        return dict(self.env), dict(self.covers), dict(self.acovers)
-
-    def _restore(self, snap: tuple) -> None:
-        self.env, self.covers, self.acovers = \
-            dict(snap[0]), dict(snap[1]), dict(snap[2])
-
-    def _merge_from(self, snap_a: tuple, snap_b: tuple) -> None:
-        """Install the path-join of two walk states."""
-        env_a, cov_a, ac_a = snap_a
-        env_b, cov_b, ac_b = snap_b
-        if cov_a.pop(_UNREACH, None) is not None:
-            self.env, self.covers, self.acovers = \
-                dict(env_b), dict(cov_b), dict(ac_b)
-            return
-        if cov_b.pop(_UNREACH, None) is not None:
-            self.env, self.covers, self.acovers = \
-                dict(env_a), dict(cov_a), dict(ac_a)
-            return
-        self.env = D.join_env(env_a, env_b)
-        self.covers = {k: min(s, cov_b.get(k, 0))
-                       for k, s in cov_a.items() if cov_b.get(k, 0)}
-        merged = {}
-        for base, (anchor, off, strength) in ac_a.items():
-            other = ac_b.get(base)
-            if other is not None and other[0] == anchor:
-                merged[base] = (anchor, off.join(other[1]),
-                                min(strength, other[2]))
-        self.acovers = merged
-
-    def _kill_covers(self) -> None:
-        self.covers.clear()
-        self.acovers.clear()
-
-    def _invalidate_anchor(self, name: str) -> None:
-        """A variable was reassigned: drop adjacency covers anchored on
-        it (their symbolic offset no longer relates to new accesses)."""
-        if self.acovers:
-            self.acovers = {
-                base: entry for base, entry in self.acovers.items()
-                if entry[0] != name and base != name}
-
-    # -- checks --------------------------------------------------------------
-
-    def _elem_size(self, node: A.Expr) -> int:
-        qt = getattr(node, "ctype", None)
-        if qt is None:
-            return 8
-        try:
-            return qt.base.size(self.structs)
-        except Exception:
-            return 8
-
-    def check(self, node: A.Expr, info, is_write: bool,
-              base: str | None = None,
-              anchor: tuple | None = None,
-              idx_iv: Interval | None = None) -> None:
-        """One runtime check firing at ``node``.  Mirrors
-        ``checkelim._Walker.check`` with the extra interval-powered
-        adjacency cover."""
-        if info is None or not info.is_dynamic:
-            return
-        need = _WRITE if is_write else _READ
-        key = info.lvalue_text
-        if self.marking and not info.elide \
-                and not info.lockset_refined and not info.ai_elide:
-            covered = self.covers.get(key, 0) >= need
-            if not covered and base is not None and anchor is not None:
-                prev = self.acovers.get(base)
-                if prev is not None and prev[0] == anchor[0] \
-                        and prev[2] >= need:
-                    delta = anchor[1].sub(prev[1])
-                    esize = self._elem_size(node)
-                    if delta.is_bounded and delta.lo >= 0 \
-                            and delta.hi * esize < GRANULE:
-                        covered = True
-            if covered:
-                info.ai_elide = True
-                node.sharc_ai_elided = True  # type: ignore[attr-defined]
-                if is_write:
-                    self.stats.ai_elided_writes += 1
-                else:
-                    self.stats.ai_elided_reads += 1
-        if self.covers.get(key, 0) < need:
-            self.covers[key] = need
-        if base is not None and anchor is not None:
-            prev = self.acovers.get(base)
-            strength = need
-            if prev is not None and prev[0] == anchor[0] \
-                    and prev[1] == anchor[1]:
-                strength = max(need, prev[2])
-            self.acovers[base] = (anchor[0], anchor[1], strength)
-        # refutation bookkeeping: per-context index ranges on arrays
-        if idx_iv is not None:
-            lk = loc_key(node, self.global_names)
-            if lk is not None:
-                self._record_idx(lk, is_write, idx_iv)
+    def _index_iv(self, lhs: A.Expr) -> Interval | None:
+        """The index interval of an array access (``None`` otherwise)."""
+        if lhs.__class__ is A.Index:
+            return self._quiet_eval(lhs.idx)
+        return None
 
     # -- expression evaluation ----------------------------------------------
 
@@ -488,22 +264,15 @@ class _Analyzer:
         if cls is A.SizeofExpr:
             return TOP  # operand never evaluated at runtime
         if cls is A.Ident:
-            self.check(e, getattr(e, "sharc_read", None), False)
             if e.name in self.global_names:
                 return self._shared_read(("global", e.name))
             iv = self.env.get(e.name)
             return TOP if iv is None else iv
-        if cls is A.Member:
+        if cls is A.Member or cls is A.Index:
             self._walk_lvalue(e)
+            self._record(e, getattr(e, "sharc_read", None), False,
+                         self._index_iv(e))
             lk = loc_key(e, self.global_names)
-            self.check(e, getattr(e, "sharc_read", None), False,
-                       base=_base_text(e), anchor=("", const(0)))
-            return self._shared_read(lk) if lk is not None else TOP
-        if cls is A.Index:
-            base, anchor, idx_iv = self._index_parts(e)
-            lk = loc_key(e, self.global_names)
-            self.check(e, getattr(e, "sharc_read", None), False,
-                       base=base, anchor=anchor, idx_iv=idx_iv)
             return self._shared_read(lk) if lk is not None else TOP
         if cls is A.Unop:
             if e.op == "&":
@@ -511,14 +280,13 @@ class _Analyzer:
                 return TOP
             if e.op == "*":
                 self.eval(e.operand)
-                self.check(e, getattr(e, "sharc_read", None), False)
                 return TOP
             if e.op in ("++", "--"):
                 op = e.operand
                 self._walk_lvalue(op)
                 iv = self._lvalue_read(op)
-                self.check(op, getattr(op, "sharc_read", None), False,
-                           *self._access_parts(op))
+                self._record(op, getattr(op, "sharc_read", None), False,
+                             self._index_iv(op))
                 delta = const(1) if e.op == "++" else const(-1)
                 new = iv.add(delta)
                 self._store(op, new)
@@ -537,11 +305,6 @@ class _Analyzer:
             return self._call(e)
         if cls is A.SCastExpr:
             self._walk_lvalue(e.expr)
-            self.check(e.expr, getattr(e.expr, "sharc_read", None),
-                       False)
-            self.check(e, getattr(e, "sharc_src_write", None), True)
-            # sharing casts reset the object's granule bitmaps
-            self._kill_covers()
             return TOP
         if cls is A.CastExpr:
             return self.eval(e.expr)
@@ -601,15 +364,13 @@ class _Analyzer:
         if e.op == "=" and lhs_qt is not None and lhs_qt.is_struct:
             self._walk_lvalue(e.rhs)
             self._walk_lvalue(lhs)
-            self.check(lhs, getattr(lhs, "sharc_write", None), True)
-            self.check(e.rhs, getattr(e.rhs, "sharc_read", None), False)
             return TOP
         rhs_iv = self.eval(e.rhs)
         self._walk_lvalue(lhs)
-        base, anchor, idx_iv = self._access_parts(lhs)
+        idx_iv = self._index_iv(lhs)
         if e.op != "=":
-            self.check(lhs, getattr(lhs, "sharc_read", None), False,
-                       base=base, anchor=anchor, idx_iv=idx_iv)
+            self._record(lhs, getattr(lhs, "sharc_read", None), False,
+                         idx_iv)
             cur = self._lvalue_read(lhs)
             op = e.op[0]
             if op == "+":
@@ -620,8 +381,7 @@ class _Analyzer:
                 rhs_iv = cur.mul(rhs_iv)
             else:
                 rhs_iv = TOP
-        self.check(lhs, getattr(lhs, "sharc_write", None), True,
-                   base=base, anchor=anchor, idx_iv=idx_iv)
+        self._record(lhs, getattr(lhs, "sharc_write", None), True, idx_iv)
         self._store(lhs, rhs_iv)
         return rhs_iv
 
@@ -650,8 +410,8 @@ class _Analyzer:
             return
 
     def _quiet_eval(self, e) -> Interval:
-        """Evaluate for the *value* only: no checks, no cover updates
-        (the expression was already walked)."""
+        """Evaluate for the *value* only: no shared writes, no index
+        records (the expression was already walked)."""
         cls = e.__class__
         if cls is A.IntLit or cls is A.CharLit:
             return const(e.value)
@@ -670,25 +430,6 @@ class _Analyzer:
         if cls is A.CastExpr:
             return self._quiet_eval(e.expr)
         return TOP
-
-    def _index_parts(self, e: A.Index) -> tuple:
-        """Walk an Index node's address computation and return
-        ``(base text, anchor decomposition, index interval)``."""
-        self._walk_lvalue(e)
-        base = _base_text(e.arr)
-        anchor = _anchor_of(e.idx, self._quiet_eval)
-        idx_iv = self._quiet_eval(e.idx)
-        return base, anchor, idx_iv
-
-    def _access_parts(self, lhs: A.Expr) -> tuple:
-        cls = lhs.__class__
-        if cls is A.Index:
-            base = _base_text(lhs.arr)
-            return (base, _anchor_of(lhs.idx, self._quiet_eval),
-                    self._quiet_eval(lhs.idx))
-        if cls is A.Member:
-            return (_base_text(lhs), ("", const(0)), None)
-        return (None, None, None)
 
     def _lvalue_read(self, lhs: A.Expr) -> Interval:
         cls = lhs.__class__
@@ -709,7 +450,6 @@ class _Analyzer:
                 self._shared_write(("global", lhs.name), iv)
             else:
                 self.env[lhs.name] = iv
-                self._invalidate_anchor(lhs.name)
             return
         lk = loc_key(lhs, self.global_names)
         if lk is not None:
@@ -722,19 +462,12 @@ class _Analyzer:
             self.eval(e.callee)
             for arg in e.args:
                 self.eval(arg)
-            self._kill_covers()
             return TOP
         name = e.callee.name
         arg_ivs = [self.eval(arg) for arg in e.args]
-        if name in SPAWNS:
-            # The spawned root runs in its own context; the spawn
-            # itself is a scheduling event.
-            self._kill_covers()
-            return TOP
         func = self.defined.get(name)
-        if func is None:
-            if _call_is_dirty(e, self.defined, set()):
-                self._kill_covers()
+        # A spawned root runs in its own context.
+        if func is None or name in SPAWNS:
             return TOP
         # defined function
         penv = self.param_envs.setdefault(name, {})
@@ -744,8 +477,6 @@ class _Analyzer:
         if self.inline and name not in self.call_stack \
                 and self.depth < _INLINE_DEPTH:
             return self._inline_call(func, arg_ivs)
-        if not self.check_free.get(name, False):
-            self._kill_covers()
         return self.ret_ivs.get(name, TOP)
 
     def _inline_call(self, func: A.FuncDef, arg_ivs: list) -> Interval:
@@ -841,7 +572,6 @@ class _Analyzer:
                 if d.init is not None:
                     iv = self.eval(d.init)
                     self.env[d.name] = iv
-                    self._invalidate_anchor(d.name)
             return
         if cls is A.If:
             self.eval(s.cond)
@@ -866,17 +596,11 @@ class _Analyzer:
             self.cur_ret = iv if self.cur_ret is None \
                 else self.cur_ret.join(iv)
             return
-        if cls is A.Break:
-            if self._breaks:
-                self._breaks[-1].append(self._snap())
-                self.covers = {_UNREACH: _WRITE}
-                self.acovers = {}
-            return
-        if cls is A.Continue:
-            if self._continues:
-                self._continues[-1].append(self._snap())
-                self.covers = {_UNREACH: _WRITE}
-                self.acovers = {}
+        if cls is A.Break or cls is A.Continue:
+            edges = self._breaks if cls is A.Break else self._continues
+            if edges:
+                edges[-1].append(self._snap())
+                self.dead = True
             return
 
     # -- loops ---------------------------------------------------------------
@@ -889,10 +613,7 @@ class _Analyzer:
             elif s.init is not None:
                 self.eval(s.init)
         cond = getattr(s, "cond", None)
-        # 1. value fixpoint at the loop head (marking suppressed so
-        #    unstable iterates cannot leak into the mark decisions)
-        saved_marking = self.marking
-        self.marking = False
+        # 1. value fixpoint at the loop head
         pre = self._snap()
         if cond is not None and cls is not A.DoWhile:
             self.eval(cond)
@@ -905,9 +626,9 @@ class _Analyzer:
             self._breaks.append([])
             self.stmt(s.body)
             for snap in self._continues.pop():
-                self.env = D.join_env(self.env, snap[0]) \
-                    if not self.covers.get(_UNREACH) else dict(snap[0])
-                self.covers.pop(_UNREACH, None)
+                self.env = dict(snap[0]) if self.dead \
+                    else D.join_env(self.env, snap[0])
+                self.dead = False
             self._breaks.pop()
             if is_for and s.step is not None:
                 self.eval(s.step)
@@ -919,134 +640,45 @@ class _Analyzer:
             if D.env_equal(new_head, head):
                 break
             head = new_head
-        self.marking = saved_marking
-        # 2. marking double-pass from the stabilised head (covers carry
-        #    around the back-edge, continue edges joined like the body's
-        #    normal exit — the fixed checkelim semantics)
+        # 2. one walk of the body from the stabilised head (the
+        #    iterates above may stop short of it), continue edges
+        #    joined like the body's normal exit
         self._restore(pre)
         self.env = dict(head)
-        exits = []
-        if cond is not None and cls is not A.DoWhile:
-            exits.append((dict(self.covers), dict(self.acovers)))
-        break_envs = []
-        for _ in range(2):
-            self.env = dict(head)
-            if cond is not None:
-                self._refine(cond, True)
-            self._continues.append([])
-            self._breaks.append([])
-            self.stmt(s.body)
-            cont_snaps = self._continues.pop()
-            break_snaps = self._breaks.pop()
-            for snap in cont_snaps:
-                self._merge_from(self._snap(), snap)
-            if is_for and s.step is not None:
-                self.eval(s.step)
-            if cond is not None:
-                self.eval(cond)
-            if break_snaps:
-                exits = None  # break exits mid-iteration: clear below
-                break_envs = [snap[0] for snap in break_snaps]
-            if exits is not None:
-                exits.append((dict(self.covers), dict(self.acovers)))
-        if self.marking:
-            self._mark_ranges(s.body, s.step if is_for else None)
+        if cond is not None:
+            self._refine(cond, True)
+        self._continues.append([])
+        self._breaks.append([])
+        self.stmt(s.body)
+        for snap in self._continues.pop():
+            self._merge_from(self._snap(), snap)
+        break_snaps = self._breaks.pop()
+        if is_for and s.step is not None:
+            self.eval(s.step)
+        if cond is not None:
+            self.eval(cond)
         # 3. post-loop state: head refined by the exit condition, joined
         #    with every break edge's environment
         self.env = dict(head)
         if cond is not None:
             self._refine(cond, False)
-        for benv in break_envs:
-            self.env = D.join_env(self.env, benv)
-        if exits is None:
-            self._kill_covers()
-        else:
-            covers, acovers = exits[0]
-            for cov_b, ac_b in exits[1:]:
-                covers = {k: min(v, cov_b.get(k, 0))
-                          for k, v in covers.items() if cov_b.get(k, 0)}
-                merged = {}
-                for bse, (anch, off, strg) in acovers.items():
-                    other = ac_b.get(bse)
-                    if other is not None and other[0] == anch:
-                        merged[bse] = (anch, off.join(other[1]),
-                                       min(strg, other[2]))
-                acovers = merged
-            covers.pop(_UNREACH, None)
-            self.covers, self.acovers = covers, acovers
-
-    def _mark_ranges(self, body, step) -> None:
-        """AI range-walk marking: like ``checkelim._mark_ranges`` but
-        calls to proven check-free functions are allowed in the body
-        (the range APIs are semantically identical per access, so this
-        is pure routing)."""
-        exprs = list(A.all_exprs(body))
-        if step is not None:
-            exprs.extend(A.walk_expr(step))
-        stepped = set()
-        for e in exprs:
-            cls = e.__class__
-            if cls is A.SCastExpr:
-                return
-            if cls is A.Call:
-                if e.callee.__class__ is not A.Ident \
-                        or not self.check_free.get(e.callee.name, False):
-                    return
-            elif cls is A.Unop and e.op in ("++", "--") \
-                    and e.operand.__class__ is A.Ident:
-                stepped.add(e.operand.name)
-            elif cls is A.Assign and e.lhs.__class__ is A.Ident:
-                if e.op in ("+=", "-="):
-                    stepped.add(e.lhs.name)
-                elif e.op == "=" and e.rhs.__class__ is A.Binop \
-                        and e.rhs.op in ("+", "-") \
-                        and e.lhs.name in {sub.name
-                                           for sub in A.walk_expr(e.rhs)
-                                           if sub.__class__ is A.Ident}:
-                    stepped.add(e.lhs.name)
-        if not stepped:
-            return
-        for e in exprs:
-            if e.__class__ is not A.Index:
-                continue
-            idents = {sub.name for sub in A.walk_expr(e.idx)
-                      if sub.__class__ is A.Ident}
-            if not (idents & stepped):
-                continue
-            for attr, is_write in (("sharc_read", False),
-                                   ("sharc_write", True)):
-                info = getattr(e, attr, None)
-                if info is None or not info.is_dynamic \
-                        or info.range_walk or info.ai_range:
-                    continue
-                info.ai_range = True
-                e.sharc_ai_range = True  # type: ignore[attr-defined]
-                if is_write:
-                    self.stats.ai_range_writes += 1
-                else:
-                    self.stats.ai_range_reads += 1
-
-
-#: sentinel cover key marking a dead (post-break/continue) path; never
-#: collides with an lvalue text
-_UNREACH = "\0unreachable"
+        for snap in break_snaps:
+            self.env = D.join_env(self.env, snap[0])
+        self.dead = False
 
 
 # -- driver ------------------------------------------------------------------
 
 def analyze_absint(program: A.Program, seeds: SeedInfo,
-                   lockset_result: LocksetResult | None = None,
-                   structs=None) -> AbsintResult:
-    """Runs the thread-modular interval analysis and writes the
-    ``ai_elide`` / ``ai_range`` marks back onto the typechecker's
-    :class:`AccessInfo` records in place."""
+                   lockset_result: LocksetResult | None = None
+                   ) -> AbsintResult:
+    """Runs the thread-modular interval analysis and scores the lockset
+    pass's static races against it."""
     result = AbsintResult()
     funcs = program.functions()
     if not funcs:
         return result
-    an = _Analyzer(program, seeds, structs
-                   if structs is not None else program.structs)
-    result.check_free = an.check_free
+    an = _Analyzer(program, seeds)
     result.contexts = an.contexts
     if not an.contexts:
         return result
@@ -1055,15 +687,13 @@ def analyze_absint(program: A.Program, seeds: SeedInfo,
         an.context = context
         an.inter = env
         an.inline = False
-        an.marking = False
         order = an.reachable(context)
         for _ in range(_PARAM_ROUNDS):
             for name in order:
                 func = an.defined[name]
                 an.env = dict(an.param_envs.get(name, {})) \
                     if name != context else {}
-                an.covers = {}
-                an.acovers = {}
+                an.dead = False
                 an.cur_ret = None
                 an.stmt(func.body)
                 prev = an.ret_ivs.get(name)
@@ -1076,21 +706,18 @@ def analyze_absint(program: A.Program, seeds: SeedInfo,
     result.rounds = rounds
     result.interference = dict(env.env)
 
-    # marking pass: one inlined walk per context over the stable env
-    an.idx_ranges = {}  # keep only the stabilised final-round ranges
+    # final walk: one inlined walk per context over the stable env,
+    # keeping only its index ranges
+    an.idx_ranges = {}
     env.writes = {}
+    an.inline = True
     for context in an.contexts:
         an.context = context
-        an.inter = env
-        an.inline = True
-        an.marking = True
         an.env = {}
-        an.covers = {}
-        an.acovers = {}
+        an.dead = False
         an.cur_ret = None
         an.call_stack = [context]
         an.stmt(an.defined[context].body)
-    result.stats = an.stats
 
     # refutation consumer: score the lockset pass's static races
     if lockset_result is not None:

@@ -19,18 +19,14 @@ two ``static-race`` diagnostics on its planner handoff — the
 ownership-transfer false-positive class that lockset reasoning, static
 or dynamic, cannot see (EXPERIMENTS.md § "Static lockset analysis").
 
-Since the abstract-interpretation tier, the gate also covers the
-``--ai`` view: every target is checked for absint *consistency* (the
-interference fixpoint terminated, the interval verdicts cover exactly
-the reported static races, and the ``sharc-analyze/1`` upgrade shim —
-the without-``--ai`` view of the same target — yields identical race
-keys), and the golden file (``sharc-analyze-golden/2``) additionally
-pins each target's interval-refuted/-confirmed verdict counts.  A
-``sharc-analyze-golden/1`` file is still accepted; it simply pins no
-absint counts.
+The gate also covers the ``--ai`` view: every target is checked for
+absint *consistency* (the interference fixpoint terminated and the
+interval verdicts cover exactly the reported static races), and the
+golden file (``sharc-analyze-golden/2``, the only schema read) pins
+each target's interval-refuted/-confirmed verdict counts.
 
 ``--out-dir`` additionally writes each target's full ``sharc analyze
---json`` payload (schema ``sharc-analyze/2``), which CI uploads as
+--json`` payload (schema ``sharc-analyze/3``), which CI uploads as
 build artifacts.
 """
 
@@ -42,7 +38,6 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-GOLDEN_SCHEMA_V1 = "sharc-analyze-golden/1"
 GOLDEN_SCHEMA = "sharc-analyze-golden/2"
 DEFAULT_GOLDEN = "ci/analyze_golden.json"
 DEFAULT_EXAMPLES = "examples"
@@ -105,11 +100,7 @@ def golden_from_payloads(payloads: dict[str, dict]) -> dict:
 def check_ai_consistency(payloads: dict[str, dict]) -> list[str]:
     """The absint layer must decorate the lockset findings, never
     perturb them: each payload's interval verdicts cover exactly the
-    reported static races, the interference fixpoint terminated, and
-    the ``sharc-analyze/1`` upgrade shim — the without-``--ai`` view
-    of the same target — round-trips to identical race keys."""
-    from repro.cli import ANALYZE_SCHEMA_V1, upgrade_analyze_payload
-
+    reported static races, and the interference fixpoint terminated."""
     problems: list[str] = []
     for name, payload in sorted(payloads.items()):
         if not payload["ok"]:
@@ -132,28 +123,23 @@ def check_ai_consistency(payloads: dict[str, dict]) -> list[str]:
         if covered != keys:
             problems.append(f"{name}: absint verdicts do not cover "
                             "the static races one-to-one")
-        legacy = {k: v for k, v in payload.items() if k != "absint"}
-        legacy["schema"] = ANALYZE_SCHEMA_V1
-        upgraded = upgrade_analyze_payload(legacy)
-        if sorted(r["key"] for r in upgraded["static_races"]) != keys:
-            problems.append(f"{name}: /1 -> /2 upgrade shim perturbed "
-                            "the race keys")
     return problems
 
 
 def check_golden(golden: dict, payloads: dict[str, dict]) -> list[str]:
-    """Diffs measured static-race keys (and, for a /2 golden, absint
-    verdict counts) against the golden; returns problems (empty = gate
-    passes)."""
-    problems: list[str] = []
-    if golden.get("schema") not in (GOLDEN_SCHEMA, GOLDEN_SCHEMA_V1):
-        problems.append(f"golden schema != {GOLDEN_SCHEMA!r}")
+    """Diffs measured static-race keys and absint verdict counts
+    against the golden; returns problems (empty = gate passes).  A
+    golden at any other schema is refused outright."""
+    schema = golden.get("schema")
+    if schema != GOLDEN_SCHEMA:
+        return [f"unsupported golden schema {schema!r} "
+                f"(expected {GOLDEN_SCHEMA!r})"]
     expected = golden.get("races")
-    if not isinstance(expected, dict):
-        return problems + ["golden 'races' missing"]
     expected_ai = golden.get("absint")
-    if not isinstance(expected_ai, dict):
-        expected_ai = {}  # /1 golden: no absint counts pinned
+    if not isinstance(expected, dict) or not isinstance(expected_ai,
+                                                         dict):
+        return ["golden 'races' or 'absint' missing"]
+    problems: list[str] = []
     for name, payload in sorted(payloads.items()):
         if not payload["ok"]:
             problems.append(f"{name}: does not type-check: "

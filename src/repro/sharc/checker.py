@@ -53,10 +53,8 @@ class CheckedProgram:
     #: consumed.  Static races are warnings kept out of ``ok``.
     lockset_result: LocksetResult = field(default_factory=LocksetResult)
     #: thread-modular abstract interpretation (repro.sharc.absint):
-    #: interval-proved discharge marks (``ai_elide`` / ``ai_range``) and
-    #: interval verdicts on the lockset pass's static races.  Marks are
-    #: always computed; the runtime ``absint`` switch decides
-    #: consumption, so the ablation stays bit-identical.
+    #: interval verdicts on the lockset pass's static races.  An
+    #: analysis only: it places no runtime marks.
     absint_result: AbsintResult = field(default_factory=AbsintResult)
 
     @property
@@ -99,8 +97,7 @@ def check_program(program: A.Program, source: str = "",
     elim_stats = mark_elisions(program)
     lockset_result = analyze_locksets(program, inference.seeds)
     absint_result = analyze_absint(program, inference.seeds,
-                                   lockset_result,
-                                   structs=program.structs)
+                                   lockset_result)
     return CheckedProgram(program, sink, inference, stats, rc_stats,
                           source, filename, elim_stats, lockset_result,
                           absint_result)

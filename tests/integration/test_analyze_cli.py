@@ -132,7 +132,10 @@ class TestAbsintSection:
     def test_payload_absint_shape(self, racy_file, capsys):
         assert main(["analyze", racy_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == ANALYZE_SCHEMA == "sharc-analyze/3"
         ai = payload["absint"]
+        assert set(ai) == {"rounds", "terminated", "interference",
+                           "refuted", "confirmed", "verdicts"}
         assert ai["terminated"] is True
         assert ai["rounds"] >= 1
         assert ai["refuted"] + ai["confirmed"] == len(ai["verdicts"])
@@ -154,60 +157,6 @@ class TestAbsintSection:
         assert main(["analyze", racy_file]) == 0
         out = capsys.readouterr().out
         assert "absint: interval-" in out
-
-
-class TestUpgradeShim:
-    """Round-trip coverage for the sharc-analyze/1 -> /2 shim."""
-
-    def _payload(self, path, capsys):
-        assert main(["analyze", path, "--json"]) == 0
-        return json.loads(capsys.readouterr().out)
-
-    def test_v2_passes_through_unchanged(self, locked_file, capsys):
-        from repro.cli import upgrade_analyze_payload
-
-        payload = self._payload(locked_file, capsys)
-        assert upgrade_analyze_payload(payload) == payload
-
-    def test_v1_round_trips_to_v2(self, racy_file, capsys):
-        from repro.cli import (ANALYZE_SCHEMA, ANALYZE_SCHEMA_V1,
-                               upgrade_analyze_payload)
-
-        payload = self._payload(racy_file, capsys)
-        legacy = {k: v for k, v in payload.items() if k != "absint"}
-        legacy["schema"] = ANALYZE_SCHEMA_V1
-        upgraded = upgrade_analyze_payload(legacy)
-        assert upgraded["schema"] == ANALYZE_SCHEMA
-        assert upgraded["upgraded_from"] == ANALYZE_SCHEMA_V1
-        # the shim must not invent analysis results: neutral defaults
-        ai = upgraded["absint"]
-        assert ai["terminated"] is True
-        assert ai["rounds"] == 0
-        assert ai["refuted"] == 0 and ai["confirmed"] == 0
-        assert ai["verdicts"] == []
-        # ...and must not perturb anything it did not add
-        for key, value in legacy.items():
-            if key != "schema":
-                assert upgraded[key] == value
-
-    def test_v1_input_is_not_mutated(self, racy_file, capsys):
-        from repro.cli import (ANALYZE_SCHEMA_V1,
-                               upgrade_analyze_payload)
-
-        payload = self._payload(racy_file, capsys)
-        legacy = {k: v for k, v in payload.items() if k != "absint"}
-        legacy["schema"] = ANALYZE_SCHEMA_V1
-        before = json.dumps(legacy, sort_keys=True)
-        upgrade_analyze_payload(legacy)
-        assert json.dumps(legacy, sort_keys=True) == before
-
-    def test_unknown_schema_rejected(self):
-        import pytest as _pytest
-
-        from repro.cli import upgrade_analyze_payload
-
-        with _pytest.raises(ValueError):
-            upgrade_analyze_payload({"schema": "sharc-analyze/99"})
 
 
 class TestWorkloadSources:
@@ -285,19 +234,24 @@ class TestAnalyzeGate:
         problems = check_golden(golden, payloads)
         assert any("absint verdicts" in p for p in problems)
 
-    def test_v1_golden_still_accepted(self):
-        """A pre-absint golden pins race keys only; the gate must not
-        demand absint counts it cannot contain."""
-        from repro.sharc.analyze_gate import (GOLDEN_SCHEMA_V1,
-                                              analyze_targets,
-                                              check_golden, gate_targets,
-                                              golden_from_payloads)
+    def test_v1_golden_is_refused(self, tmp_path, capsys):
+        """A ``sharc-analyze-golden/1`` file (race keys only) fails the
+        gate with a diagnostic naming its schema."""
+        from repro.sharc.analyze_gate import main as gate_main
 
-        payloads = analyze_targets(gate_targets(examples_dir=None))
-        golden = golden_from_payloads(payloads)
-        golden["schema"] = GOLDEN_SCHEMA_V1
+        with open("ci/analyze_golden.json", encoding="utf-8") as handle:
+            golden = json.load(handle)
+        golden["schema"] = "sharc-analyze-golden/1"
         del golden["absint"]
-        assert check_golden(golden, payloads) == []
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(golden))
+        capsys.readouterr()
+        assert gate_main(["--golden", str(path),
+                          "--examples-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "analyze gate FAILED" in err
+        assert "unsupported golden schema 'sharc-analyze-golden/1'" in err
+        assert "Traceback" not in err
 
     def test_ai_consistency_catches_tampered_verdicts(self):
         import copy

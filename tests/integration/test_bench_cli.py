@@ -6,10 +6,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.bench import canary
 from repro.bench.interp_bench import (
-    SCHEMA, SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, bench_payload,
-    bench_workloads,
-    compare_payloads, upgrade_payload, validate_payload,
+    SCHEMA, bench_payload, bench_workloads, compare_payloads,
+    require_schema, validate_payload,
 )
 
 
@@ -129,29 +129,6 @@ class TestPayloadValidation:
         assert first.reports == second.reports
 
 
-def _strip_v4(payload):
-    """Remove the /4 backend/throughput generation, leaving what a
-    pre-compiled-backend baseline actually contained."""
-    del payload["backend"]
-    for entry in payload["workloads"].values():
-        for key in ("backend", "interp_steps_per_sec",
-                    "compiled_steps_per_sec", "compiled_speedup"):
-            del entry[key]
-    return payload
-
-
-def _v1_payload():
-    """A minimal legacy (schema /1) payload, as a committed baseline
-    from before the check-elimination PR would look."""
-    payload = _strip_v4(bench_payload(bench_workloads(["aget"])))
-    payload["schema"] = SCHEMA_V1
-    del payload["checkelim"]
-    for entry in payload["workloads"].values():
-        del entry["checks_per_1k_steps"]
-        del entry["checks_elided_pct"]
-    return payload
-
-
 class TestSchemaV2:
     def test_payload_carries_check_mix_fields(self):
         payload = bench_payload(bench_workloads(["aget"]))
@@ -161,48 +138,11 @@ class TestSchemaV2:
         assert entry["checks_per_1k_steps"] >= 0.0
         assert 0.0 <= entry["checks_elided_pct"] <= 1.0
 
-    def test_v1_payload_still_validates(self):
-        # Legacy baselines must not be rejected by the validator; the
-        # new fields are only required at /2.
-        assert validate_payload(_v1_payload()) == []
-
     def test_v2_payload_missing_new_fields_is_flagged(self):
         payload = bench_payload(bench_workloads(["aget"]))
         del payload["workloads"]["aget"]["checks_elided_pct"]
         problems = validate_payload(payload)
         assert any("checks_elided_pct" in p for p in problems)
-
-    def test_upgrade_shim_backfills_v1(self):
-        v1 = _v1_payload()
-        v2 = upgrade_payload(v1)
-        assert v2["schema"] == SCHEMA
-        assert v2["upgraded_from"] == SCHEMA_V1
-        entry = v2["workloads"]["aget"]
-        assert entry["checks_per_1k_steps"] == 0.0
-        assert entry["checks_elided_pct"] == 0.0
-        # The original payload is untouched (deep copy).
-        assert v1["schema"] == SCHEMA_V1
-        assert "checks_elided_pct" not in v1["workloads"]["aget"]
-
-    def test_upgrade_passes_v2_through(self):
-        payload = bench_payload(bench_workloads(["aget"]))
-        assert upgrade_payload(payload) is payload
-
-    def test_upgrade_rejects_unknown_schema(self):
-        with pytest.raises(ValueError, match="unsupported bench schema"):
-            upgrade_payload({"schema": "sharc-bench-interp/99"})
-
-
-def _v2_payload():
-    """A committed baseline from before the lockset-refinement PR:
-    schema /2 without the locked-check fields."""
-    payload = _strip_v4(bench_payload(bench_workloads(["aget"])))
-    payload["schema"] = SCHEMA_V2
-    del payload["lockset"]
-    for entry in payload["workloads"].values():
-        del entry["checks_locked_pct"]
-        del entry["lockset_refined"]
-    return payload
 
 
 class TestSchemaV3:
@@ -214,58 +154,15 @@ class TestSchemaV3:
         assert 0.0 <= entry["checks_locked_pct"] <= 1.0
         assert entry["lockset_refined"] >= 0
 
-    def test_v2_payload_still_validates(self):
-        assert validate_payload(_v2_payload()) == []
-
     def test_v3_payload_missing_new_fields_is_flagged(self):
         payload = bench_payload(bench_workloads(["aget"]))
         del payload["workloads"]["aget"]["checks_locked_pct"]
         problems = validate_payload(payload)
         assert any("checks_locked_pct" in p for p in problems)
 
-    def test_upgrade_shim_backfills_v2(self):
-        v2 = _v2_payload()
-        v3 = upgrade_payload(v2)
-        assert v3["schema"] == SCHEMA
-        assert v3["upgraded_from"] == SCHEMA_V2
-        entry = v3["workloads"]["aget"]
-        assert entry["checks_locked_pct"] == 0.0
-        assert entry["lockset_refined"] == 0
-        # /2 fields were already there; untouched
-        assert entry["checks_elided_pct"] >= 0.0
-        # The original payload is untouched (deep copy).
-        assert v2["schema"] == SCHEMA_V2
-        assert "checks_locked_pct" not in v2["workloads"]["aget"]
-
-    def test_upgrade_shim_backfills_v1_with_both_generations(self):
-        v3 = upgrade_payload(_v1_payload())
-        assert v3["schema"] == SCHEMA
-        assert v3["upgraded_from"] == SCHEMA_V1
-        entry = v3["workloads"]["aget"]
-        assert entry["checks_elided_pct"] == 0.0
-        assert entry["checks_locked_pct"] == 0.0
-        assert entry["lockset_refined"] == 0
-
-    def test_v2_baseline_is_accepted_by_compare(self):
-        current = bench_payload(bench_workloads(["aget"]))
-        _, regressions = compare_payloads(_v2_payload(), current,
-                                          threshold=0.99)
-        assert regressions == []
-
-
-def _v3_payload():
-    """A committed baseline from before the compiled backend: schema /3
-    without the backend/throughput columns."""
-    payload = _strip_v4(bench_payload(bench_workloads(["aget"])))
-    payload["schema"] = SCHEMA_V3
-    return payload
-
 
 class TestSchemaV4:
-    """Every schema hop lands on /4: /1 -> /4 backfills three
-    generations of fields, /2 -> /4 two, /3 -> /4 only the
-    compiled-backend columns — and pre-/4 ``steps_per_sec`` (which
-    timed the interpreter) becomes ``interp_steps_per_sec``."""
+    """The backend/throughput columns the compiled executor added."""
 
     def test_payload_carries_backend_fields(self):
         payload = bench_payload(bench_workloads(["aget"]))
@@ -276,74 +173,70 @@ class TestSchemaV4:
         assert entry["compiled_steps_per_sec"] >= 0
         assert entry["compiled_speedup"] >= 0.0
 
-    def test_v3_payload_still_validates(self):
-        assert validate_payload(_v3_payload()) == []
-
     def test_v4_payload_missing_new_fields_is_flagged(self):
         payload = bench_payload(bench_workloads(["aget"]))
         del payload["workloads"]["aget"]["compiled_speedup"]
         problems = validate_payload(payload)
         assert any("compiled_speedup" in p for p in problems)
 
-    def test_upgrade_shim_backfills_v3(self):
-        v3 = _v3_payload()
-        v4 = upgrade_payload(v3)
-        assert v4["schema"] == SCHEMA
-        assert v4["upgraded_from"] == SCHEMA_V3
-        assert v4["backend"] == "interp"
-        entry = v4["workloads"]["aget"]
-        assert entry["backend"] == "interp"
-        assert entry["compiled_steps_per_sec"] == 0
-        assert entry["compiled_speedup"] == 0.0
-        # /3 timed the interpreter: its throughput becomes the interp
-        # column, not zero.
-        assert entry["interp_steps_per_sec"] == entry["steps_per_sec"]
-        # /3's own fields pass through untouched.
-        assert 0.0 <= entry["checks_locked_pct"] <= 1.0
-        assert entry["lockset_refined"] >= 0
-        # The original payload is untouched (deep copy).
-        assert v3["schema"] == SCHEMA_V3
-        assert "compiled_speedup" not in v3["workloads"]["aget"]
 
-    def test_upgrade_shim_backfills_v2_with_both_generations(self):
-        v4 = upgrade_payload(_v2_payload())
-        assert v4["schema"] == SCHEMA
-        assert v4["upgraded_from"] == SCHEMA_V2
-        entry = v4["workloads"]["aget"]
-        # /3 generation defaulted...
-        assert entry["checks_locked_pct"] == 0.0
-        assert entry["lockset_refined"] == 0
-        # ... and the /4 generation too.
-        assert entry["compiled_speedup"] == 0.0
-        assert entry["interp_steps_per_sec"] == entry["steps_per_sec"]
+def _previous_tag_file(tmp_path):
+    """A payload tagged ``sharc-bench-interp/5``, the tag before this
+    one."""
+    payload = bench_payload(bench_workloads(["aget"]))
+    payload["schema"] = "sharc-bench-interp/5"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
 
-    def test_upgrade_shim_backfills_v1_with_all_generations(self):
-        v4 = upgrade_payload(_v1_payload())
-        assert v4["schema"] == SCHEMA
-        assert v4["upgraded_from"] == SCHEMA_V1
-        entry = v4["workloads"]["aget"]
-        assert entry["checks_per_1k_steps"] == 0.0
-        assert entry["checks_elided_pct"] == 0.0
-        assert entry["checks_locked_pct"] == 0.0
-        assert entry["lockset_refined"] == 0
-        assert entry["backend"] == "interp"
-        assert entry["compiled_steps_per_sec"] == 0
-        assert entry["compiled_speedup"] == 0.0
-        assert entry["interp_steps_per_sec"] == entry["steps_per_sec"]
 
-    def test_every_upgraded_payload_validates_at_v4(self):
-        for legacy in (_v1_payload(), _v2_payload(), _v3_payload()):
-            assert validate_payload(upgrade_payload(legacy)) == []
+class TestSchemaV6:
+    """One readable schema: ``/6`` is written and read, every other tag
+    is refused with a one-line diagnostic."""
 
-    def test_upgrade_passes_v4_through_unchanged(self):
+    def test_payload_fields(self):
         payload = bench_payload(bench_workloads(["aget"]))
-        assert upgrade_payload(payload) is payload
+        assert payload["schema"] == "sharc-bench-interp/6"
+        assert set(payload) == {"schema", "seed", "checkelim", "lockset",
+                                "backend", "workloads", "summary"}
+        assert set(payload["workloads"]["aget"]) == {
+            "backend", "base_steps", "sharc_steps", "base_wall_seconds",
+            "wall_seconds", "steps_per_sec", "time_overhead",
+            "mem_overhead", "pct_dynamic", "reports",
+            "checks_per_1k_steps", "checks_elided_pct",
+            "checks_locked_pct", "lockset_refined",
+            "interp_steps_per_sec", "compiled_steps_per_sec",
+            "compiled_speedup"}
+        assert require_schema(payload) is payload
 
-    def test_v3_baseline_is_accepted_by_compare(self):
-        current = bench_payload(bench_workloads(["aget"]))
-        _, regressions = compare_payloads(_v3_payload(), current,
-                                          threshold=0.99)
-        assert regressions == []
+    def test_require_schema_refuses_other_tags(self):
+        for tag in ("sharc-bench-interp/5", "sharc-bench-interp/1",
+                    None):
+            with pytest.raises(ValueError,
+                               match="unsupported bench schema"):
+                require_schema({"schema": tag})
+
+    def test_compare_refuses_previous_tag(self, tmp_path, capsys):
+        old = _previous_tag_file(tmp_path)
+        capsys.readouterr()
+        assert main(["bench", "--workloads", "aget", "--out", "-",
+                     "--compare", old]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "unsupported bench schema 'sharc-bench-interp/5'" in err
+        assert "\n" not in err and "Traceback" not in err
+        assert captured.out == ""  # refused before any workload ran
+
+    def test_canary_refuses_previous_tag(self, tmp_path, capsys):
+        old = _previous_tag_file(tmp_path)
+        capsys.readouterr()
+        assert canary.main(["--baseline", old,
+                            "--workloads", "aget"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "unsupported bench schema 'sharc-bench-interp/5'" in err
+        assert "\n" not in err and "Traceback" not in err
+        assert captured.out == ""
 
 
 class TestLocksetFlag:
@@ -380,14 +273,8 @@ class TestBenchCompare:
         assert "aget" in regressions[0]
         assert "REGRESSED" in table
 
-    def test_v1_baseline_is_accepted(self):
-        current = bench_payload(bench_workloads(["aget"]))
-        _, regressions = compare_payloads(_v1_payload(), current,
-                                          threshold=0.99)
-        assert regressions == []
-
     def test_cli_compare_exits_3_on_regression(self, tmp_path, capsys):
-        baseline = _v1_payload()
+        baseline = bench_payload(bench_workloads(["aget"]))
         for entry in baseline["workloads"].values():
             entry["steps_per_sec"] = entry["steps_per_sec"] * 1000
         old = tmp_path / "old.json"

@@ -132,6 +132,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "x.c"], ["explore", "x.c"], ["bench", "--out", "-"]])
+    def test_absint_is_not_a_run_option(self, argv, capsys):
+        """The interval analysis changes no run, so no command takes a
+        switch for it."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-absint"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-absint" \
+            in capsys.readouterr().err
+
+    def test_canary_has_no_absint_switch(self, capsys):
+        from repro.bench import canary
+
+        with pytest.raises(SystemExit) as exc:
+            canary.main(["--no-absint"])
+        assert exc.value.code == 2
+
 
 class TestEvaluationCommands:
     def test_table1_json(self, capsys):

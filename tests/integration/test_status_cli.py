@@ -147,6 +147,37 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "nope")]) == 2
         assert "telemetry" in capsys.readouterr().err
 
+    def test_site_table_rows_match_its_header(self, campaign):
+        main(["report", campaign])
+        with open(os.path.join(campaign, "report.html")) as handle:
+            doc = handle.read()
+        table = doc.split("Hot check sites", 1)[1].split("</table>")[0]
+        rows = table.split("<tr")[1:]
+        assert len(rows) > 1
+        header = rows[0].count("<th")
+        assert all(row.count("<td") + row.count("<th") == header
+                   for row in rows[1:])
+
+    def test_previous_metrics_tag_is_refused(self, campaign, capsys):
+        """A ``sharc-metrics/5`` file (the tag with the ``ai`` site
+        column) ends in a one-line diagnostic, not a traceback."""
+        path = os.path.join(campaign, "metrics.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["schema"] = "sharc-metrics/5"
+        payload["sites"]["totals"]["ai"] = 0
+        for row in payload["sites"]["rows"]:
+            row["ai"] = 0
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        capsys.readouterr()
+        assert main(["report", campaign]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert "unsupported metrics schema 'sharc-metrics/5'" in err
+        assert "\n" not in err and "Traceback" not in err
+        assert not os.path.exists(os.path.join(campaign, "report.html"))
+
 
 class TestInterruptFlush:
     def test_partial_metrics_and_final_record_on_ctrl_c(

@@ -61,7 +61,7 @@ class TestCampaignBasics:
         assert summary.schedules == 24
         assert summary.shards_done == 4
         payload = json.loads(summary_bytes(directory))
-        assert payload["schema"] == "sharc-campaign/1"
+        assert payload["schema"] == "sharc-campaign/2"
         assert payload["schedules"] == 24
         assert payload["complete"] is True
         assert payload["distinct_traces"] == summary.distinct_traces
@@ -293,6 +293,70 @@ class TestCampaignCLI:
         rc = cli_main(["campaign", directory, "--resume", "--quiet"])
         assert rc == 2
         assert "hash mismatch" in capsys.readouterr().err
+
+    def test_resume_refuses_a_v1_campaign(self, tmp_path, capsys):
+        """A ``sharc-campaign/1`` directory persists nine-wide site
+        counters (with the retired ``ai`` column); resuming it ends in
+        the schema diagnostic before any shard is refolded."""
+        import glob
+
+        source = self._write_source(tmp_path)
+        directory = str(tmp_path / "camp")
+        cli_main(["campaign", directory, source, "--budget", "16",
+                  "--shard-size", "4", "--backend", "interp",
+                  "--policy", "random", "--quiet", "--stop-after", "2",
+                  "--sites-every", "1"])
+        capsys.readouterr()
+        manifest_path = os.path.join(directory, "campaign.json")
+        with open(manifest_path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["schema"] = "sharc-campaign/1"
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        shards = glob.glob(os.path.join(directory, "shards", "*.json"))
+        assert shards
+        for path in shards:
+            with open(path, encoding="utf-8") as handle:
+                shard = json.load(handle)
+            assert shard["schema"] == "sharc-campaign-shard/2"
+            assert shard["sites"], "need persisted site counters"
+            shard["schema"] = "sharc-campaign-shard/1"
+            shard["sites"] = [[key, counts[:5] + [0] + counts[5:]]
+                              for key, counts in shard["sites"]]
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(shard, handle)
+        rc = cli_main(["campaign", directory, "--resume", "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert "unknown campaign schema 'sharc-campaign/1'" in err
+        assert "Traceback" not in err and "IndexError" not in err
+
+    def test_resume_refuses_a_previous_shard_tag(self, tmp_path, capsys):
+        """A current manifest over a shard file still at
+        ``sharc-campaign-shard/1`` (nine-wide counters) ends in the
+        shard-schema diagnostic, not an ``IndexError`` in the refold."""
+        source = self._write_source(tmp_path)
+        directory = str(tmp_path / "camp")
+        cli_main(["campaign", directory, source, "--budget", "16",
+                  "--shard-size", "4", "--backend", "interp",
+                  "--policy", "random", "--quiet", "--stop-after", "2",
+                  "--sites-every", "1"])
+        capsys.readouterr()
+        path = os.path.join(directory, "shards", "shard-00001.json")
+        with open(path, encoding="utf-8") as handle:
+            shard = json.load(handle)
+        assert shard["sites"], "need persisted site counters"
+        shard["schema"] = "sharc-campaign-shard/1"
+        shard["sites"] = [[key, counts[:5] + [0] + counts[5:]]
+                          for key, counts in shard["sites"]]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(shard, handle)
+        rc = cli_main(["campaign", directory, "--resume", "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip()
+        assert "shard-00001.json: unknown campaign shard schema " \
+            "'sharc-campaign-shard/1'" in err
+        assert "Traceback" not in err and "IndexError" not in err
 
 
 class TestCampaignTelemetry:

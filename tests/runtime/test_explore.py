@@ -335,15 +335,15 @@ class TestDifferentialStatic:
 class TestDifferentialAbsint:
     """The AI precision column: each compile-time race carries the
     abstract interpreter's interval verdict, and the column flows into
-    the metrics payload under sharc-metrics/5."""
+    the metrics payload under sharc-metrics/6."""
 
-    def _sweep(self, absint=True):
+    def _sweep(self):
         from repro.explore import differential_sweep
 
         source, _ = racy_c_program(3, kind="write-write")
         return differential_sweep(source, "racy3.c", seeds=2,
                                   policies=("random",),
-                                  max_steps=200_000, absint=absint)
+                                  max_steps=200_000)
 
     def test_verdicts_cover_the_static_races(self):
         summary = self._sweep()
@@ -361,15 +361,6 @@ class TestDifferentialAbsint:
             assert v["verdict"] in ("interval-refuted",
                                     "interval-confirmed")
 
-    def test_ablation_keeps_the_static_column(self):
-        """absint=False ablates the *runtime* discharges only; the
-        precision column is a static artifact and is computed either
-        way (the sweep's purpose is measuring it)."""
-        on = self._sweep(absint=True)
-        off = self._sweep(absint=False)
-        assert off.absint_verdicts == on.absint_verdicts
-        assert off.absint_rounds == on.absint_rounds
-
     def test_column_flows_into_metrics(self):
         from repro.obs.metrics import (METRICS_SCHEMA, MetricsRegistry,
                                        validate_metrics)
@@ -380,7 +371,7 @@ class TestDifferentialAbsint:
         registry.record_sweep(summary.eraser)
         registry.record_differential(summary)
         payload = registry.as_dict()
-        assert payload["schema"] == METRICS_SCHEMA == "sharc-metrics/5"
+        assert payload["schema"] == METRICS_SCHEMA == "sharc-metrics/6"
         assert validate_metrics(payload) == []
         ai = payload["absint"]
         assert ai["refuted"] == summary.absint_refuted

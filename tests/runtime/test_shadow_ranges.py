@@ -110,6 +110,43 @@ class TestRecheck:
         assert shadow.recheck(0x100, 4, 1, False)  # write covers reads
 
 
+def _state(shadow):
+    return (shadow.updates, shadow.fastpath_hits, dict(shadow.last),
+            dict(shadow.last_writer), dict(shadow._cache),
+            shadow._version)
+
+
+class TestRecheckLocked:
+    """``recheck_locked`` starts with ``recheck`` itself: on a cache hit
+    it has exactly the guard's effects and nothing more."""
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_cache_hit_has_exactly_the_recheck_effects(self, is_write):
+        shadows = [ShadowMemory(nbytes=1), ShadowMemory(nbytes=1)]
+        for shadow in shadows:
+            shadow.chkwrite(0x100, 2 * G, 1, "x", LOC)
+        assert shadows[0].recheck(0x100, 2 * G, 1, is_write)
+        assert shadows[1].recheck_locked(0x100, 2 * G, 1, is_write,
+                                         "y", Loc("t.c", 9))
+        assert _state(shadows[0]) == _state(shadows[1])
+        # a hit records no new last access: "y" at line 9 never lands
+        assert all(acc.lvalue == "x" for acc in shadows[1].last.values())
+
+    def test_miss_replays_the_full_check_instead(self):
+        """After a foreign mutation the cache misses; the bitmap probe
+        then charges the same effects the full check would have."""
+        guarded, full = ShadowMemory(nbytes=1), ShadowMemory(nbytes=1)
+        for shadow in (guarded, full):
+            shadow.chkwrite(0x100, 4, 1, "x", LOC)
+            shadow.chkread(0x200, 4, 2, "y", LOC)  # bumps the version
+        assert not guarded.recheck(0x100, 4, 1, False)
+        assert guarded.recheck_locked(0x100, 4, 1, False, "x", LOC)
+        assert full.chkread(0x100, 4, 1, "x", LOC) == (None, 0)
+        assert (guarded.updates, guarded.last, guarded.last_writer,
+                guarded._cache) \
+            == (full.updates, full.last, full.last_writer, full._cache)
+
+
 def _key(conflict):
     return (None if conflict is None
             else (conflict.tid, conflict.is_write, conflict.lvalue))

@@ -61,17 +61,25 @@ class TestCounterPlumbing:
         assert len(new_counter()) == len(SITE_FIELDS)
         assert set(new_counter()) == {0}
 
+    def test_index_constants_name_their_fields(self):
+        from repro.obs import sitestats
+
+        assert SITE_FIELDS == ("solo", "full", "range", "elided",
+                               "locked", "miss", "conflicts", "cost")
+        for i, name in enumerate(SITE_FIELDS):
+            assert getattr(sitestats, f"I_{name.upper()}") == i
+
     def test_site_id_format(self):
         assert site_id(("a.c", 4, "buf[i]", "r")) == "a.c:4 r buf[i]"
 
     def test_encode_decode_roundtrip(self):
-        sites = {("a.c", 1, "x", "w"): [1, 2, 3, 4, 5, 6, 7, 8, 9],
-                 ("a.c", 2, "y", "r"): [9, 8, 7, 6, 5, 4, 3, 2, 1]}
+        sites = {("a.c", 1, "x", "w"): [1, 2, 3, 4, 5, 6, 7, 8],
+                 ("a.c", 2, "y", "r"): [8, 7, 6, 5, 4, 3, 2, 1]}
         assert decode_sites(encode_sites(sites)) == sites
 
     def test_encode_is_deterministic_and_hashable(self):
-        sites = {("b.c", 2, "y", "r"): [1] * 9,
-                 ("a.c", 1, "x", "w"): [2] * 9}
+        sites = {("b.c", 2, "y", "r"): [1] * 8,
+                 ("a.c", 1, "x", "w"): [2] * 8}
         encoded = encode_sites(sites)
         assert encoded == encode_sites(dict(reversed(sites.items())))
         hash(encoded)  # picklable/frozen-dataclass requirement
@@ -79,36 +87,36 @@ class TestCounterPlumbing:
     def test_merge_accepts_dicts_and_encodings(self):
         key = ("a.c", 1, "x", "w")
         acc = {}
-        merge_sites(acc, {key: [1] * 9})
-        merge_sites(acc, encode_sites({key: [2] * 9}))
-        assert acc == {key: [3] * 9}
+        merge_sites(acc, {key: [1] * 8})
+        merge_sites(acc, encode_sites({key: [2] * 8}))
+        assert acc == {key: [3] * 8}
 
     def test_merge_does_not_alias_source_counters(self):
         key = ("a.c", 1, "x", "w")
-        src = {key: [1] * 9}
+        src = {key: [1] * 8}
         acc = merge_sites({}, src)
         acc[key][0] += 10
         assert src[key][0] == 1
 
     def test_rows_sorted_by_cost_then_key(self):
-        sites = {("a.c", 1, "x", "w"): [0] * 8 + [5],
-                 ("a.c", 2, "y", "r"): [0] * 8 + [9],
-                 ("a.c", 3, "z", "r"): [0] * 8 + [5]}
+        sites = {("a.c", 1, "x", "w"): [0] * 7 + [5],
+                 ("a.c", 2, "y", "r"): [0] * 7 + [9],
+                 ("a.c", 3, "z", "r"): [0] * 7 + [5]}
         rows = site_rows(sites)
         assert [r["lvalue"] for r in rows] == ["y", "x", "z"]
         assert site_rows(sites, limit=1)[0]["cost"] == 9
 
     def test_totals_sum_every_field(self):
-        sites = {("a.c", 1, "x", "w"): [1, 2, 3, 4, 5, 6, 7, 8, 9],
-                 ("a.c", 2, "y", "r"): [1, 1, 1, 1, 1, 1, 0, 0, 9]}
+        sites = {("a.c", 1, "x", "w"): [1, 2, 3, 4, 5, 6, 7, 8],
+                 ("a.c", 2, "y", "r"): [1, 1, 1, 1, 1, 0, 0, 9]}
         got = totals(sites)
-        assert got["solo"] == 2 and got["cost"] == 18
-        # "checks" counts discharge kinds only (solo..ai), not
+        assert got["solo"] == 2 and got["cost"] == 17
+        # "checks" counts discharge kinds only (solo..locked), not
         # the miss/conflict/cost bookkeeping fields.
-        assert got["checks"] == (1 + 2 + 3 + 4 + 5 + 6) + 6
+        assert got["checks"] == (1 + 2 + 3 + 4 + 5) + 5
 
     def test_render_annotates_source_lines(self):
-        sites = {("t.c", 2, "x", "w"): [0, 4, 0, 0, 0, 0, 1, 0, 7]}
+        sites = {("t.c", 2, "x", "w"): [0, 4, 0, 0, 0, 1, 0, 7]}
         text = render_hot_sites(sites, source="int a;\nx = 1;\n")
         assert "t.c:2 x" in text
         assert "x = 1;" in text
@@ -151,16 +159,23 @@ class TestReconciliation:
         problems = reconcile(sites, result.stats)
         assert problems and any("full" in p for p in problems)
 
-    @pytest.mark.parametrize("name", ["pfscan", "dillo", "fftw"])
+    @pytest.mark.parametrize("name,variant", [
+        ("pfscan", "annotated"), ("dillo", "annotated"),
+        ("fftw", "annotated"), ("pfscan", "unannotated"),
+        ("aget", "unannotated"), ("pbzip2", "unannotated"),
+        ("dillo", "unannotated"), ("fftw", "unannotated"),
+        ("stunnel", "unannotated")])
     @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    def test_table1_workloads_reconcile(self, name, backend):
+    def test_table1_workloads_reconcile(self, name, variant, backend):
         """The acceptance bar: per-site totals reconcile exactly with
-        the stats.py counters on the Table 1 workloads, both
-        backends."""
+        the stats.py counters on the Table 1 workloads, both backends.
+        (The other three annotated variants run no dynamic check.)"""
         from repro.bench.workloads import get_workload
 
         workload = get_workload(name)
-        checked = check_source(workload.annotated_source, f"{name}.c")
+        source = (workload.annotated_source if variant == "annotated"
+                  else workload.unannotated_source)
+        checked = check_source(source, f"{name}.c")
         assert checked.ok
         result = run_checked(checked, seed=workload.seed,
                              world=workload.world_factory(),

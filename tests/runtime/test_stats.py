@@ -1,5 +1,7 @@
 """Unit tests for the metrics (repro.runtime.stats)."""
 
+import pytest
+
 from repro.runtime.stats import RunStats, time_overhead
 
 
@@ -64,6 +66,70 @@ class TestCheckFastpathRate:
     def test_fraction(self):
         stats = RunStats(shadow_updates=40, shadow_fastpath_hits=10)
         assert stats.check_fastpath_rate == 0.25
+
+
+def _walked_share(stats: RunStats) -> float:
+    walked = stats.checks_full + stats.checks_range
+    return walked / (walked + stats.checks_elided
+                     + stats.checks_locked_refined)
+
+
+# `shared` is re-read with no yield in between (checkelim elides the
+# second read); `counter` is consistently locked but not annotated
+# (the lockset pass refines it to locked(lk)).
+BOTH_DISCHARGES = """
+mutex lk;
+int counter = 0;
+int shared = 0;
+void *w(void *a) {
+  int i; int x;
+  for (i = 0; i < 10; i++) {
+    mutexLock(&lk);
+    counter = counter + 1;
+    mutexUnlock(&lk);
+    x = shared;
+    x = x + shared;
+  }
+  return NULL;
+}
+int main() {
+  int t1 = thread_create(w, NULL);
+  int t2 = thread_create(w, NULL);
+  thread_join(t1);
+  thread_join(t2);
+  return 0;
+}
+"""
+
+
+class TestDischargeShares:
+    """The elided and locked shares divide by the same total: every
+    check past the solo test, walked or discharged."""
+
+    def test_shares_partition_the_checks(self):
+        stats = RunStats(checks_full=49, checks_range=1,
+                         checks_elided=20, checks_locked_refined=10)
+        assert stats.checks_elided_pct == 0.25
+        assert stats.checks_locked_pct == 0.125
+        assert _walked_share(stats) == 0.625
+
+    def test_no_checks(self):
+        assert RunStats().checks_elided_pct == 0.0
+        assert RunStats().checks_locked_pct == 0.0
+
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    def test_program_with_both_discharges(self, backend):
+        from tests.conftest import check_ok
+        from repro.runtime.interp import run_checked
+
+        checked = check_ok(BOTH_DISCHARGES)
+        for seed in range(3):
+            stats = run_checked(checked, seed=seed,
+                                backend=backend).stats
+            assert stats.checks_elided > 0
+            assert stats.checks_locked_refined > 0
+            assert stats.checks_elided_pct + stats.checks_locked_pct \
+                + _walked_share(stats) == pytest.approx(1.0)
 
 
 class TestGuardUniformity:

@@ -5,9 +5,9 @@ also compares what only a traced run produces: every bus event (category,
 name, thread, timestamp, duration and payload) and the provenance
 ``hist(...)`` lines of conflict reports.  Those are emitted from inside
 the dynamic check, on every one of its branches — the single-threaded
-fast path, the three guarded discharges (checkelim elision, locked(l)
-refinement, interval cover), the range-batched and full checks, and the
-conflict path — so any drift between what the two backends run at a
+fast path, the guarded discharges (checkelim elision, locked(l)
+refinement), the range-batched and full checks, and the conflict path —
+so any drift between what the two backends run at a
 check site shows up here.  Every ablation switch is covered on and off.
 """
 
@@ -16,7 +16,6 @@ import functools
 import pytest
 
 from tests.conftest import check_ok
-from tests.runtime.test_absint_identity import RACY as AI_PROGRAM
 from tests.runtime.test_checkelim_identity import RACY as ELIM_PROGRAM
 from tests.runtime.test_compiled_backend import RACY as GATE_PROGRAM
 from tests.runtime.test_lockset_identity import MIXED as LOCKSET_PROGRAM
@@ -24,19 +23,45 @@ from repro.obs import TraceConfig
 from repro.obs.sitestats import SITE_FIELDS
 from repro.runtime.interp import run_checked
 
+# Re-checks of `shared` across a call and of adjacent `buf` granules:
+# covers checkelim does not see, so these run as full checks.
+CALLS_PROGRAM = """
+int shared = 0;
+int buf[32];
+int pump() { int y; y = 2; return y; }
+void *w(void *a) {
+  int i; int x;
+  for (i = 0; i < 16; i++) {
+    x = shared;
+    pump();
+    shared = x + shared;
+    buf[0] = buf[0] + 1;
+    buf[1] = buf[1] + buf[0];
+  }
+  return NULL;
+}
+int main() {
+  int t1 = thread_create(w, NULL);
+  int t2 = thread_create(w, NULL);
+  thread_join(t1);
+  thread_join(t2);
+  return 0;
+}
+"""
+
 PROGRAMS = {
     "checkelim": ELIM_PROGRAM,
     "lockset": LOCKSET_PROGRAM,
-    "absint": AI_PROGRAM,
+    "calls": CALLS_PROGRAM,
     "gate": GATE_PROGRAM,
 }
 
-#: every ablation switch on, then each one off
+#: every ablation switch on, then each one off, then both off
 FLAGS = {
     "all-on": {},
     "no-checkelim": {"checkelim": False},
     "no-lockset": {"lockset": False},
-    "no-absint": {"absint": False},
+    "all-off": {"checkelim": False, "lockset": False},
 }
 
 RUNS = [(seed, policy) for seed in range(4)
@@ -87,7 +112,30 @@ def test_the_programs_reach_every_check_branch():
                     totals[field] += count
             hist_lines += sum("hist(" in r.render()
                               for r in result.reports)
-    for field in ("solo", "full", "range", "elided", "locked", "ai",
+    for field in ("solo", "full", "range", "elided", "locked",
                   "conflicts"):
         assert totals[field] > 0, field
     assert hist_lines > 0
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled"])
+def test_discharge_events_name_the_pass(backend):
+    """Both discharges share one code path; the pass that earned the
+    mark survives as the event label, one label per discharged check."""
+    for program in ("checkelim", "lockset"):
+        for seed, policy in RUNS:
+            result = _traced(program, "all-on", seed, policy, backend)
+            checks = [e.args for e in result.events if e.cat == "check"
+                      and e.name in ("chkread", "chkwrite")]
+            elided = [a for a in checks if a.get("elided")]
+            locked = [a for a in checks if a.get("locked")]
+            assert len(elided) == result.stats.checks_elided
+            assert len(locked) == result.stats.checks_locked_refined
+            assert not any(a.get("elided") and a.get("locked")
+                           for a in checks)
+            assert all(a["hit"] and not a["conflict"]
+                       for a in elided + locked)
+    assert _traced("checkelim", "all-on", 0, "random",
+                   backend).stats.checks_elided > 0
+    assert _traced("lockset", "all-on", 0, "random",
+                   backend).stats.checks_locked_refined > 0

@@ -6,11 +6,8 @@ Three load-bearing properties:
 - **termination**: the interference fixpoint (widening at loop heads)
   stabilises on every Table 1 workload variant and every fuzz scenario
   family — an analysis that spins is worse than none;
-- **discharge**: interval reasoning marks ``ai_elide`` / ``ai_range``
-  on sites the checkelim dataflow cannot see (covers flowing through
-  check-free callees, same-granule adjacent accesses, monotone walks
-  around check-free calls) — the runtime half (bit-identity, counter
-  plumbing) lives in ``tests/runtime/test_absint_identity.py``;
+- **analysis only**: the pass places no runtime marks, so its
+  discharge census stays 0;
 - **refutation**: per-context index intervals refute static lockset
   races on partitioned arrays, with witness bounds, and confirm the
   overlapping control.
@@ -77,121 +74,26 @@ class TestFixpointTermination:
         assert ai.terminated
 
 
-class TestDischargeMarks:
-    def _marks(self, checked):
-        from repro.cfront import cast as A
+class TestAnalysisOnly:
+    def test_access_info_has_no_interval_marks(self):
+        from dataclasses import fields
 
-        elided, ranged = [], []
-        for func in checked.program.functions():
-            for e in A.all_exprs(func.body):
-                for attr in ("sharc_read", "sharc_write"):
-                    info = getattr(e, attr, None)
-                    if info is None:
-                        continue
-                    if info.ai_elide:
-                        elided.append(info.lvalue_text)
-                    if info.ai_range:
-                        ranged.append(info.lvalue_text)
-        return elided, ranged
+        from repro.sharc.typecheck import AccessInfo
 
-    def test_cover_flows_through_check_free_callee(self):
-        """checkelim kills covers at *any* call; absint inlines a
-        callee it proved check-free, so the cover survives."""
-        checked = check_ok(_prog(
-            "x = g; frob(); x = x + g;",
-            extra="int frob() { int y; y = 2; return y; }"))
-        assert checked.absint_result.stats.ai_elided >= 1
-        assert "g" in self._marks(checked)[0]
-        # ...and checkelim itself did not already claim the site
-        assert checked.elim_stats.elided == 0
+        names = {f.name for f in fields(AccessInfo)}
+        assert {"elide", "range_walk", "lockset_refined"} <= names
+        assert not any(name.startswith("ai") for name in names)
 
-    def test_checked_callee_is_modelled_not_blocked(self):
-        """Unlike checkelim, a *defined* callee with checks of its own
-        is inlined and modelled precisely: its write of g covers the
-        read after the call (and its own read is covered by the
-        caller's)."""
-        checked = check_ok(_prog(
-            "x = g; frob(); x = x + g;",
-            extra="int frob() { g = g + 1; return 0; }"))
-        assert self._marks(checked)[0] == ["g", "g"]
-
-    def test_undefined_callee_blocks_the_cover(self):
-        """A declared-but-undefined function stays opaque: nothing to
-        inline, so the covers die at the call like any yield point."""
-        checked = check_ok(_prog(
-            "x = g; ext(); x = x + g;",
-            extra="void ext(void);"))
-        assert checked.absint_result.stats.ai_elided == 0
-        assert self._marks(checked)[0] == []
-
-    def test_adjacent_same_granule_access_elided(self):
-        """buf[0] and buf[1] share a 16-byte granule: the interval
-        delta proves the second check re-tests the same granule."""
-        checked = check_ok(_prog(
-            "buf[0] = 1; buf[1] = 2; x = buf[0] + buf[1];"))
-        assert checked.absint_result.stats.ai_elided >= 1
-
-    def test_range_walk_around_check_free_call(self):
-        """checkelim refuses range marks when the loop body calls
-        anything; absint permits calls it proved check-free."""
-        checked = check_ok(_prog(
-            "for (i = 0; i < 64; i++) { frob(); x = x + buf[i]; }",
-            extra="int frob() { int y; y = 1; return y; }"))
-        assert checked.absint_result.stats.ai_ranges >= 1
-        assert "buf[i]" in self._marks(checked)[1]
-        assert checked.elim_stats.ranges == 0
-
-    def test_marks_never_stack_on_checkelim_sites(self):
-        """An absint mark is only placed where neither checkelim nor
-        lockset already discharged the site — the runtime consults
-        them in that order."""
-        from repro.cfront import cast as A
-
-        for source in (
-                _prog("x = g; x = x + g;"),
-                _prog("for (i = 0; i < 64; i++) x = x + buf[i];")):
-            checked = check_ok(source)
-            for func in checked.program.functions():
-                for e in A.all_exprs(func.body):
-                    for attr in ("sharc_read", "sharc_write"):
-                        info = getattr(e, attr, None)
-                        if info is None:
-                            continue
-                        assert not (info.elide and info.ai_elide)
-                        assert not (info.range_walk and info.ai_range)
-
-    def test_check_free_classification(self):
-        checked = check_ok(_prog(
-            "x = g; frob(); x = x + g;",
-            extra="int frob() { int y; y = 2; return y; }"))
-        cf = checked.absint_result.check_free
-        assert cf["frob"] is True
-        assert cf["w"] is False       # reads/writes g dynamically
-
-
-class TestWorkloadDischarge:
-    """Acceptance anchor: on >= 3 of the six Table 1 workloads the
-    absint tier statically marks sites checkelim alone could not."""
-
-    def _stats(self, name, variant):
+    @pytest.mark.parametrize("name", SIX_WORKLOADS)
+    @pytest.mark.parametrize("variant", ["annotated", "unannotated"])
+    def test_discharge_census_is_empty(self, variant, name):
         from repro.bench.workloads import get_workload
 
         workload = get_workload(name)
-        source = (workload.annotated_source if variant == "annotated"
-                  else workload.unannotated_source)
-        return check_ok(source, f"{name}.c").absint_result.stats
-
-    def test_pfscan_annotated_gains_marks(self):
-        assert self._stats("pfscan", "annotated").ai_elided >= 1
-
-    def test_aget_unannotated_gains_marks(self):
-        assert self._stats("aget", "unannotated").ai_elided >= 1
-
-    def test_stunnel_unannotated_gains_marks(self):
-        assert self._stats("stunnel", "unannotated").ai_elided >= 1
-
-    def test_dillo_unannotated_gains_marks(self):
-        assert self._stats("dillo", "unannotated").ai_elided >= 1
+        checked = check_ok(getattr(workload, f"{variant}_source"),
+                           f"{name}.c")
+        stats = checked.absint_result.stats
+        assert stats.ai_elided == 0 and stats.ai_ranges == 0
 
 
 PARTITIONED = """
@@ -245,6 +147,39 @@ class TestRefutation:
         assert d["line"] == 5  # the lowhalf write, like the race key
         assert d["verdict"] == "interval-refuted"
         assert d["witness"]
+
+    def test_continue_path_does_not_widen_the_index(self):
+        """The path after ``continue`` is dead: the if-join keeps the
+        fall-through state alone, so ``j = 40`` never reaches the
+        ``buf[j]`` write and the partition still refutes."""
+        source = PARTITIONED.replace(
+            "  for (i = 0; i < 32; i++) buf[i] = buf[i] + 1;",
+            "  int j;\n"
+            "  for (i = 0; i < 32; i++) {\n"
+            "    j = i;\n"
+            "    if (i == 7) { j = 40; continue; }\n"
+            "    buf[j] = buf[j] + 1;\n"
+            "  }", 1)
+        checked = check_ok(source, "part3.c")
+        verdicts = checked.absint_result.verdicts
+        assert [v.verdict for v in verdicts] == ["interval-refuted"]
+        assert verdicts[0].witness["lowhalf"] == [0, 31]
+
+    def test_break_path_does_not_widen_the_index(self):
+        """Likewise after ``break``: the bail-out path's ``j = 40``
+        leaves the loop without reaching the write."""
+        source = PARTITIONED.replace(
+            "  for (i = 0; i < 32; i++) buf[i] = buf[i] + 1;",
+            "  int j;\n"
+            "  for (i = 0; i < 32; i++) {\n"
+            "    j = i;\n"
+            "    if (i == 7) { j = 40; break; }\n"
+            "    buf[j] = buf[j] + 1;\n"
+            "  }", 1)
+        checked = check_ok(source, "part4.c")
+        verdicts = checked.absint_result.verdicts
+        assert [v.verdict for v in verdicts] == ["interval-refuted"]
+        assert verdicts[0].witness["lowhalf"] == [0, 31]
 
     def test_refutation_never_drops_the_diagnostic(self):
         """Verdicts decorate the lockset findings; the static-race
