@@ -16,6 +16,7 @@ are handled here so the parser sees a clean token stream.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import LexError, Loc
@@ -78,6 +79,58 @@ _ESCAPES = {
     "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v",
 }
 
+# One alternative per token shape, tried in order at each position.
+# Every alternative consumes at least one character and ``bad`` takes
+# any character the others refuse, so successive matches tile the
+# source.  A number is a hex literal (no suffix), or digits with an
+# optional ``.digits`` fraction and ``e[+-]digits`` exponent, followed
+# by ignored ``uUlLfF`` suffixes; a string or character literal may
+# lack its closing quote, which the scan loop reports.  ``uident``
+# (a non-ASCII start) is an identifier only if it starts with a letter:
+# \w also admits numeric characters.
+_TOKEN_RE = re.compile(r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<ident>[A-Za-z_]\w*)
+  | (?P<hex>0[xX][0-9a-fA-F]*)
+  | (?P<float>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))[uUlLfF]*
+  | (?P<int>\d+)[uUlLfF]*
+  | (?P<comment>//[^\n]*|/\*.*?\*/)
+  | (?P<open_comment>/\*)
+  | (?P<punct>""" + "|".join(re.escape(p) for p in PUNCTUATORS) + r""")
+  | (?P<string>"(?P<sbody>(?:[^"\\\n]|\\.?)*)(?P<send>"?))
+  | (?P<char>'(?P<cbody>\\(?:x[0-9a-fA-F]*|.?)|.?)(?P<cend>'?))
+  | (?P<directive>\#[^\n]*)
+  | (?P<uident>[^\W\d]\w*)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
+
+# A backslash escape inside a string or character literal: ``\x`` takes
+# every hex digit that follows; a backslash at the end of input has an
+# empty escape character.
+_ESCAPE_RE = re.compile(r"\\(x[0-9a-fA-F]*|.?)", re.DOTALL)
+
+
+def _unescape(body: str, start: Loc) -> str:
+    """The characters of a literal's body with escapes resolved; raises
+    on the first malformed escape."""
+    if "\\" not in body:
+        return body
+
+    def resolve(match: re.Match) -> str:
+        ch = match.group(1)
+        if ch[:1] == "x":
+            if len(ch) == 1:
+                raise LexError("empty hex escape", start)
+            code = int(ch[1:], 16)
+            if code > 0x10FFFF:
+                raise LexError(f"hex escape \\{ch} out of range", start)
+            return chr(code)
+        if ch in _ESCAPES:
+            return _ESCAPES[ch]
+        raise LexError(f"unknown escape \\{ch}", start)
+
+    return _ESCAPE_RE.sub(resolve, body)
+
 
 class Lexer:
     """Converts source text into a list of :class:`Token`."""
@@ -85,59 +138,11 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<input>") -> None:
         self.src = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.defines: dict[str, Token] = {}
 
-    def loc(self) -> Loc:
-        return Loc(self.filename, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.src[index] if index < len(self.src) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.src[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return text
-
-    def _skip_trivia(self) -> None:
-        """Skips whitespace, comments, and preprocessor lines."""
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self.loc()
-                self._advance(2)
-                while self.pos < len(self.src):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            elif ch == "#" and self.col == 1:
-                self._preprocessor_line()
-            else:
-                return
-
-    def _preprocessor_line(self) -> None:
-        start = self.loc()
-        line_start = self.pos
-        while self.pos < len(self.src) and self._peek() != "\n":
-            self._advance()
-        text = self.src[line_start:self.pos].strip()
+    def _directive(self, text: str, start: Loc) -> None:
+        """A ``#`` line: ``#define NAME int`` is recorded, ``#include``
+        and ``#pragma`` are skipped."""
         parts = text.split()
         if len(parts) >= 3 and parts[0] == "#define":
             name, value = parts[1], parts[2]
@@ -147,128 +152,76 @@ class Lexer:
                 raise LexError(
                     f"only integer #define supported, got {value!r}", start)
             self.defines[name] = Token(TokenKind.INT, value, start, literal)
-        elif parts and parts[0] not in ("#include", "#define", "#pragma"):
+        elif parts[0] not in ("#include", "#define", "#pragma"):
             raise LexError(f"unsupported preprocessor directive {parts[0]}",
                            start)
 
-    def _lex_number(self) -> Token:
-        # Note: every membership test guards against the empty string
-        # _peek returns at EOF ("" in "eE" is True in Python).
-        start = self.loc()
-        begin = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.src[begin:self.pos]
-            return Token(TokenKind.INT, text, start, int(text, 16))
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in ("+", "-")
-                    and self._peek(2).isdigit())):
-            is_float = True
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.src[begin:self.pos]
-        # Integer / float suffixes are accepted and ignored.
-        while self._peek() and self._peek() in "uUlLfF":
-            self._advance()
-        if is_float:
-            return Token(TokenKind.FLOAT, text, start, float(text))
-        return Token(TokenKind.INT, text, start, int(text))
-
-    def _lex_escape(self, start: Loc) -> str:
-        self._advance()  # backslash
-        ch = self._advance()
-        if ch == "x":
-            digits = ""
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                digits += self._advance()
-            if not digits:
-                raise LexError("empty hex escape", start)
-            return chr(int(digits, 16))
-        if ch in _ESCAPES:
-            return _ESCAPES[ch]
-        raise LexError(f"unknown escape \\{ch}", start)
-
-    def _lex_string(self) -> Token:
-        start = self.loc()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", start)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                chars.append(self._lex_escape(start))
-            else:
-                chars.append(self._advance())
-        value = "".join(chars)
-        return Token(TokenKind.STRING, value, start, value)
-
-    def _lex_char(self) -> Token:
-        start = self.loc()
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "\\":
-            char = self._lex_escape(start)
-        else:
-            char = self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", start)
-        self._advance()
-        return Token(TokenKind.CHAR, char, start, ord(char))
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        start = self.loc()
-        if self.pos >= len(self.src):
-            return Token(TokenKind.EOF, "", start)
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch == '"':
-            return self._lex_string()
-        if ch == "'":
-            return self._lex_char()
-        if ch.isalpha() or ch == "_":
-            begin = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self.src[begin:self.pos]
-            if text in self.defines:
-                macro = self.defines[text]
-                return Token(macro.kind, macro.text, start, macro.value)
-            if text in KEYWORDS:
-                return Token(TokenKind.KEYWORD, text, start)
-            return Token(TokenKind.IDENT, text, start)
-        for punct in PUNCTUATORS:
-            if self.src.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, start)
-        raise LexError(f"unexpected character {ch!r}", start)
-
     def tokens(self) -> list[Token]:
+        """Tokenizes the whole source, ending with one EOF token.
+
+        Lines and columns are 1-based; every character, tabs and
+        carriage returns included, is one column, and only ``\\n``
+        starts a new line."""
+        src, filename, defines = self.src, self.filename, self.defines
         result: list[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind is TokenKind.EOF:
-                return result
+        append = result.append
+        line, line_start = 1, 0
+        for match in _TOKEN_RE.finditer(src):
+            kind = match.lastgroup
+            pos = match.start()
+            if kind == "ws" or kind == "comment":
+                text = match.group()
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rindex("\n") + 1
+                continue
+            loc = Loc(filename, line, pos - line_start + 1)
+            text = match.group(kind)
+            if kind == "ident" or (kind == "uident" and text[0].isalpha()):
+                if text in defines:
+                    macro = defines[text]
+                    append(Token(macro.kind, macro.text, loc, macro.value))
+                elif text in KEYWORDS:
+                    append(Token(TokenKind.KEYWORD, text, loc))
+                else:
+                    append(Token(TokenKind.IDENT, text, loc))
+            elif kind == "punct":
+                append(Token(TokenKind.PUNCT, text, loc))
+            elif kind == "int":
+                append(Token(TokenKind.INT, text, loc, int(text)))
+            elif kind == "float":
+                append(Token(TokenKind.FLOAT, text, loc, float(text)))
+            elif kind == "hex":
+                if len(text) == 2:
+                    raise LexError(f"hex literal {text!r} has no digits",
+                                   loc)
+                append(Token(TokenKind.INT, text, loc, int(text, 16)))
+            elif kind == "string":
+                value = _unescape(match.group("sbody"), loc)
+                if not match.group("send"):
+                    raise LexError("unterminated string literal", loc)
+                append(Token(TokenKind.STRING, value, loc, value))
+            elif kind == "char":
+                char = _unescape(match.group("cbody"), loc)
+                if not match.group("cend") or not char:
+                    raise LexError("unterminated character literal", loc)
+                append(Token(TokenKind.CHAR, char, loc, ord(char)))
+                # a raw newline between the quotes still ends the line
+                if match.group("cbody") == "\n":
+                    line += 1
+                    line_start = match.end("cbody")
+            elif kind == "directive" and pos == line_start:
+                self._directive(text, loc)
+            elif kind == "open_comment":
+                raise LexError("unterminated block comment", loc)
+            else:
+                # ``bad``, a ``#`` off column 1, or a ``uident`` whose
+                # first character is not a letter
+                raise LexError(f"unexpected character {text[0]!r}", loc)
+        append(Token(TokenKind.EOF, "",
+                     Loc(filename, line, len(src) - line_start + 1)))
+        return result
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:

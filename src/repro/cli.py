@@ -50,13 +50,14 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import LexError, ParseError
 from repro.sharc.checker import check_source
 from repro.runtime.interp import run_checked
 
 
 class InputError(Exception):
     """An input file could not be read; ``main`` turns it into a
-    one-line diagnostic and exit code 2."""
+    one-line diagnostic and exit code 2, as it does a syntax error."""
 
 
 def _read(path: str) -> str:
@@ -268,6 +269,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                                     lockset=not args.no_lockset,
                                     backend=args.backend,
                                     profiler=profiler)
+        except (LexError, ParseError):
+            raise
         except SharcError as exc:
             print(exc)
             return 1
@@ -1132,7 +1135,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, LexError, ParseError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,9 @@ from repro.sharc.seeds import SeedInfo
 
 #: loop-head widening: iterate once, widen, then verify (plus backstop)
 _LOOP_ITERS = 4
-#: interprocedural parameter-environment propagation rounds per context
+#: cap on interprocedural parameter-environment propagation rounds per
+#: context and interference round; :func:`_round_settles` ends them
+#: early once another round would change nothing
 _PARAM_ROUNDS = 3
 #: call-inlining depth cap for the final walk
 _INLINE_DEPTH = 10
@@ -117,8 +119,8 @@ class _Analyzer:
     - **summary mode** (``inline=False``): per-context value analysis
       feeding the interference fixpoint.  Calls to defined functions
       join argument intervals into the callee's parameter environment
-      (propagated over :data:`_PARAM_ROUNDS` rounds) and yield its
-      joined return interval.
+      (propagated over up to :data:`_PARAM_ROUNDS` rounds) and yield
+      its joined return interval.
     - **final walk** (``inline=True``): one walk per context after the
       fixpoint stabilises, inlining defined calls so every array index
       is bounded with its call site's argument intervals.  It records
@@ -689,6 +691,7 @@ def analyze_absint(program: A.Program, seeds: SeedInfo,
         an.inline = False
         order = an.reachable(context)
         for _ in range(_PARAM_ROUNDS):
+            before = _param_state(an)
             for name in order:
                 func = an.defined[name]
                 an.env = dict(an.param_envs.get(name, {})) \
@@ -700,6 +703,8 @@ def analyze_absint(program: A.Program, seeds: SeedInfo,
                 cur = an.cur_ret if an.cur_ret is not None else TOP
                 an.ret_ivs[name] = cur if prev is None \
                     else prev.join(cur)
+            if _round_settles(an, context, before):
+                break
 
     env, rounds = interference_fixpoint(
         an.contexts, analyze_context, an.initial_env())
@@ -726,6 +731,25 @@ def analyze_absint(program: A.Program, seeds: SeedInfo,
             result.verdicts.append(
                 _score_race(diag, an.idx_ranges, an.contexts, multi))
     return result
+
+
+def _param_state(an: _Analyzer) -> tuple:
+    """A copy of the interprocedural state a parameter round reads."""
+    return ({name: dict(penv) for name, penv in an.param_envs.items()},
+            dict(an.ret_ivs))
+
+
+def _round_settles(an: _Analyzer, context: str, before: tuple) -> bool:
+    """Whether another parameter round of ``context`` would only repeat
+    the one just taken.
+
+    A round reads only ``param_envs``, ``ret_ivs`` and the interference
+    environment, which is fixed for the whole interference round, and
+    every write it makes is a join.  So a round that left the first two
+    as they were (``before``) would be redone exactly, and so would
+    every later one.  A leaf context, whose root calls no defined
+    function, reads neither: its first walk is already final."""
+    return not an.calls[context] or _param_state(an) == before
 
 
 def _score_race(diag, idx_ranges: dict, contexts: tuple,

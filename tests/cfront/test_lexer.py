@@ -162,6 +162,120 @@ class TestTrivia:
             tokenize("#ifdef X\n")
 
 
+def spans(source):
+    """``(kind, text, line, col, value)`` of every token but EOF."""
+    return [(t.kind.name, t.text, t.loc.line, t.loc.col, t.value)
+            for t in tokenize(source)[:-1]]
+
+
+class TestPinnedBehaviour:
+    """Exact token streams and error locations of the corner cases."""
+
+    @pytest.mark.parametrize("source,expected", [
+        # locations after a multi-line block comment
+        ("a /* x\ny\n */ b", [("IDENT", "a", 1, 1, None),
+                              ("IDENT", "b", 3, 5, None)]),
+        ("/**/x/*\n*/y", [("IDENT", "x", 1, 5, None),
+                          ("IDENT", "y", 2, 3, None)]),
+        # a carriage return is one column; only \n starts a line
+        ("int\r\n  x;\r\n", [("KEYWORD", "int", 1, 1, None),
+                             ("IDENT", "x", 2, 3, None),
+                             ("PUNCT", ";", 2, 4, None)]),
+        ("a\rb", [("IDENT", "a", 1, 1, None), ("IDENT", "b", 1, 3, None)]),
+        # a tab is one column
+        ("\tint\tx;", [("KEYWORD", "int", 1, 2, None),
+                       ("IDENT", "x", 1, 6, None),
+                       ("PUNCT", ";", 1, 7, None)]),
+        # a #define use keeps the use site's location
+        ("#define N 8\nint a = N;", [("KEYWORD", "int", 2, 1, None),
+                                    ("IDENT", "a", 2, 5, None),
+                                    ("PUNCT", "=", 2, 7, None),
+                                    ("INT", "8", 2, 9, 8),
+                                    ("PUNCT", ";", 2, 10, None)]),
+        ("#define M 0x10\r\n  M", [("INT", "0x10", 2, 3, 16)]),
+        # a directive after a CRLF line ending is still in column 1
+        ("x\r\n#include <a.h>\r\ny", [("IDENT", "x", 1, 1, None),
+                                      ("IDENT", "y", 3, 1, None)]),
+        # a fraction needs a digit after the dot, an exponent a digit
+        # after its optional sign
+        ("1.e5", [("INT", "1", 1, 1, 1), ("PUNCT", ".", 1, 2, None),
+                  ("IDENT", "e5", 1, 3, None)]),
+        ("a.b", [("IDENT", "a", 1, 1, None), ("PUNCT", ".", 1, 2, None),
+                 ("IDENT", "b", 1, 3, None)]),
+        ("1e+", [("INT", "1", 1, 1, 1), ("IDENT", "e", 1, 2, None),
+                 ("PUNCT", "+", 1, 3, None)]),
+        ("1.5e+2x", [("FLOAT", "1.5e+2", 1, 1, 150.0),
+                     ("IDENT", "x", 1, 7, None)]),
+        ("2E3", [("FLOAT", "2E3", 1, 1, 2000.0)]),
+        ("1.5.2", [("FLOAT", "1.5", 1, 1, 1.5), ("PUNCT", ".", 1, 4, None),
+                   ("INT", "2", 1, 5, 2)]),
+        # integer and float suffixes are dropped from text and value
+        ("10UL", [("INT", "10", 1, 1, 10)]),
+        ("7u;", [("INT", "7", 1, 1, 7), ("PUNCT", ";", 1, 3, None)]),
+        ("3.5f", [("FLOAT", "3.5", 1, 1, 3.5)]),
+        ("0XfF", [("INT", "0XfF", 1, 1, 255)]),
+        # a hex literal takes no suffix
+        ("0x10u", [("INT", "0x10", 1, 1, 16), ("IDENT", "u", 1, 5, None)]),
+        # string and character literals carry the decoded text
+        # a hex escape takes every hex digit that follows
+        ('"a\\x41-\\x41b"', [("STRING", "aA-\u041b", 1, 1, "aA-\u041b")]),
+        ("'\\''", [("CHAR", "'", 1, 1, 39)]),
+        ("'''", [("CHAR", "'", 1, 1, 39)]),
+    ])
+    def test_token_stream(self, source, expected):
+        assert spans(source) == expected
+
+    def test_eof_location_follows_trailing_trivia(self):
+        eof = tokenize("a\n  // c\n ")[-1]
+        assert eof.kind is TokenKind.EOF
+        assert (eof.loc.line, eof.loc.col) == (3, 2)
+
+    @pytest.mark.parametrize("source,message,line,col", [
+        ("x /* abc\n", "unterminated block comment", 1, 3),
+        ("#define F foo\n", "only integer #define supported, got 'foo'",
+         1, 1),
+        ("int a;\n#ifdef X\n", "unsupported preprocessor directive #ifdef",
+         2, 1),
+        ("# define N 1\n", "unsupported preprocessor directive #", 1, 1),
+        ("  #define N 1\n", "unexpected character '#'", 1, 3),
+        ("a /**/#define N 1\n", "unexpected character '#'", 1, 7),
+        ('x = "ab\\xg";', "empty hex escape", 1, 5),
+        ('\n  "\\q"', "unknown escape \\q", 2, 3),
+        ("'\\", "unknown escape \\", 1, 1),
+        ('a "abc\nb"', "unterminated string literal", 1, 3),
+        ('"abc', "unterminated string literal", 1, 1),
+        ("  'ab'", "unterminated character literal", 1, 3),
+        ("'", "unterminated character literal", 1, 1),
+        ("a @ b", "unexpected character '@'", 1, 3),
+        ("a\r\n\t$", "unexpected character '$'", 2, 2),
+        ("x\x0c", "unexpected character '\\x0c'", 1, 2),
+    ])
+    def test_lex_error(self, source, message, line, col):
+        with pytest.raises(LexError) as info:
+            tokenize(source, "t.c")
+        error = info.value
+        assert (error.message, error.loc.file, error.loc.line,
+                error.loc.col) == (message, "t.c", line, col)
+
+
+@pytest.mark.parametrize("source,message,col", [
+    ("int x = 0x;", "hex literal '0x' has no digits", 9),
+    ("0xZ", "hex literal '0x' has no digits", 1),
+    ("a+0X", "hex literal '0X' has no digits", 3),
+    ("x = 1\u00b2;", "unexpected character '\u00b2'", 6),
+    ('s = "\\x110000";', "hex escape \\x110000 out of range", 5),
+])
+def test_malformed_literal_is_a_lex_error(source, message, col):
+    """Literals whose value Python cannot convert (no hex digits, a
+    superscript digit, a code point past U+10FFFF) are a diagnostic at
+    the literal, not a crash in the conversion."""
+    with pytest.raises(LexError) as info:
+        tokenize(source, "t.c")
+    error = info.value
+    assert (error.message, error.loc.line, error.loc.col) == \
+        (message, 1, col)
+
+
 @given(st.lists(
     st.sampled_from(["x", "42", "+", "while", "private", '"s"',
                      "->", "3.5", "(", ")", "{", "}"]),

@@ -123,6 +123,29 @@ class TestUnreadableInput:
             assert err.count("\n") == 1
 
 
+class TestMalformedInput:
+    """A lexical or syntax error ends in one stderr line naming the
+    location, ``<command>: <file>:<line>:<col>: <message>``, and exit
+    code 2, like an unreadable file; never a traceback."""
+
+    @pytest.mark.parametrize("command", [["run"], ["run", "--profile"],
+                                         ["check"], ["analyze"], ["infer"],
+                                         ["explore"]])
+    @pytest.mark.parametrize("source,where", [
+        ("int main( {\n", "1:11: expected a type, found '{'"),
+        ("int x = 0x;\n", "1:9: hex literal '0x' has no digits"),
+        ("int main() {\n  return 0; /* open\n", "2:13: unterminated "
+                                                 "block comment"),
+    ])
+    def test_syntax_error(self, command, source, where, tmp_path, capsys):
+        path = tmp_path / "bad.c"
+        path.write_text(source)
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{command[0]}: {path}:{where}\n"
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

@@ -187,3 +187,152 @@ class TestRefutation:
         it has no soundness guarantee to stand on)."""
         checked = check_ok(PARTITIONED, "part.c")
         assert checked.lockset_result.races
+
+
+HELPER_TWO_THREADS = """
+int buf[64];
+int g;
+int clamp(int i, int hi) {
+  if (i < hi) return i;
+  return hi;
+}
+void fill(int lo, int hi) {
+  int i;
+  for (i = lo; i < hi; i++) buf[i] = clamp(i, 63);
+}
+void *lowhalf(void *a) {
+  fill(0, 32);
+  g = clamp(g + 1, 10);
+  return NULL;
+}
+void *highhalf(void *a) {
+  fill(32, 64);
+  return NULL;
+}
+int main() {
+  int t1 = thread_create(lowhalf, NULL);
+  int t2 = thread_create(highhalf, NULL);
+  thread_join(t1); thread_join(t2);
+  return 0;
+}
+"""
+
+
+# ``record`` comes before ``twice`` in the walk order of ``w``'s
+# context, so its first walk misses the argument ``twice`` passes: only
+# the second parameter round walks it with ``p`` in [0, 40].
+CALLEE_FIRST = """
+int g;
+int buf[64];
+void record(int p) {
+  g = p;
+  buf[p] = 1;
+}
+void twice(void) {
+  record(40);
+}
+void *w(void *a) {
+  record(0);
+  twice();
+  return NULL;
+}
+int main() {
+  int t1 = thread_create(w, NULL);
+  int t2 = thread_create(w, NULL);
+  thread_join(t1); thread_join(t2);
+  return 0;
+}
+"""
+
+
+def _exhaustive(monkeypatch):
+    """Every context takes all ``_PARAM_ROUNDS`` parameter rounds, as if
+    no round ever settled."""
+    from repro.sharc import absint
+
+    monkeypatch.setattr(absint, "_round_settles", lambda *args: False)
+
+
+def _result_view(checked) -> dict:
+    ai = checked.absint_result
+    return {"rounds": ai.rounds, "terminated": ai.terminated,
+            "contexts": ai.contexts,
+            "interference": ai.interference_encoded(),
+            "verdicts": [v.as_dict() for v in ai.verdicts]}
+
+
+class TestParameterRounds:
+    """absint stops a context's parameter rounds once another round
+    would only repeat the last one; the result must be exactly that of
+    always taking all of them."""
+
+    def _body_walks(self, monkeypatch, source, func_name):
+        from collections import Counter
+
+        from repro.sharc.absint import _Analyzer
+
+        walks = Counter()
+        stmt = _Analyzer.stmt
+
+        def counting_stmt(self, s):
+            walks[id(s)] += 1
+            return stmt(self, s)
+
+        monkeypatch.setattr(_Analyzer, "stmt", counting_stmt)
+        checked = check_ok(source)
+        (func,) = [f for f in checked.program.functions()
+                   if f.name == func_name]
+        return walks[id(func.body)], checked.absint_result.rounds
+
+    def test_leaf_context_is_walked_once_per_interference_round(
+            self, monkeypatch):
+        walks, rounds = self._body_walks(monkeypatch, PARTITIONED,
+                                         "lowhalf")
+        assert rounds >= 2
+        assert walks == rounds + 1  # plus the final inlined walk
+
+    def test_exhaustive_loop_walks_every_round(self, monkeypatch):
+        from repro.sharc.absint import _PARAM_ROUNDS
+
+        _exhaustive(monkeypatch)
+        walks, rounds = self._body_walks(monkeypatch, PARTITIONED,
+                                         "lowhalf")
+        assert walks == _PARAM_ROUNDS * rounds + 1
+
+    @pytest.mark.parametrize("source", [
+        PARTITIONED,
+        PARTITIONED.replace("for (i = 32; i < 64; i++)",
+                            "for (i = 0; i < 64; i++)"),
+        PARTITIONED.replace(
+            "  for (i = 0; i < 32; i++) buf[i] = buf[i] + 1;",
+            "  int j;\n"
+            "  for (i = 0; i < 32; i++) {\n"
+            "    j = i;\n"
+            "    if (i == 7) { j = 40; break; }\n"
+            "    buf[j] = buf[j] + 1;\n"
+            "  }", 1),
+        HELPER_TWO_THREADS,
+        CALLEE_FIRST,
+    ], ids=["partitioned", "overlapping", "break", "helper",
+            "callee-first"])
+    def test_result_matches_the_exhaustive_loop(self, source, monkeypatch):
+        fast = _result_view(check_ok(source))
+        _exhaustive(monkeypatch)
+        assert _result_view(check_ok(source)) == fast
+
+    def test_helper_called_from_two_threads_is_refuted_per_call_site(
+            self):
+        verdicts = {v.text: v for v in
+                    check_ok(HELPER_TWO_THREADS).absint_result.verdicts}
+        assert verdicts["buf"].verdict == "interval-refuted"
+        assert verdicts["buf"].witness == {"lowhalf": [0, 31],
+                                           "highhalf": [32, 63]}
+
+    @pytest.mark.parametrize("name", ["pfscan", "fftw"])
+    def test_workload_matches_the_exhaustive_loop(self, name, monkeypatch):
+        from repro.bench.workloads import get_workload
+
+        source = get_workload(name).annotated_source
+        fast = _result_view(check_ok(source, f"{name}.c"))
+        _exhaustive(monkeypatch)
+        assert _result_view(check_ok(source, f"{name}.c")) == fast
