@@ -110,9 +110,9 @@ _TOKEN_RE = re.compile(r"""
 _ESCAPE_RE = re.compile(r"\\(x[0-9a-fA-F]*|.?)", re.DOTALL)
 
 
-def _unescape(body: str, start: Loc) -> str:
-    """The characters of a literal's body with escapes resolved; raises
-    on the first malformed escape."""
+def _unescape(body: str, start: Loc, what: str) -> str:
+    """The characters of a ``what`` literal's body with escapes
+    resolved; raises on the first malformed escape."""
     if "\\" not in body:
         return body
 
@@ -127,6 +127,12 @@ def _unescape(body: str, start: Loc) -> str:
             return chr(code)
         if ch in _ESCAPES:
             return _ESCAPES[ch]
+        if ch in ("\n", "\r"):
+            raise LexError(f"line continuation inside a {what} is not "
+                           f"supported", start)
+        if not ch.isprintable():
+            # keep the diagnostic on one line whatever the character
+            raise LexError(f"unknown escape \\ followed by {ch!r}", start)
         raise LexError(f"unknown escape \\{ch}", start)
 
     return _ESCAPE_RE.sub(resolve, body)
@@ -198,12 +204,13 @@ class Lexer:
                                    loc)
                 append(Token(TokenKind.INT, text, loc, int(text, 16)))
             elif kind == "string":
-                value = _unescape(match.group("sbody"), loc)
+                value = _unescape(match.group("sbody"), loc, "string literal")
                 if not match.group("send"):
                     raise LexError("unterminated string literal", loc)
                 append(Token(TokenKind.STRING, value, loc, value))
             elif kind == "char":
-                char = _unescape(match.group("cbody"), loc)
+                char = _unescape(match.group("cbody"), loc,
+                                 "character literal")
                 if not match.group("cend") or not char:
                     raise LexError("unterminated character literal", loc)
                 append(Token(TokenKind.CHAR, char, loc, ord(char)))

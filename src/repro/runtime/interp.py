@@ -1168,51 +1168,52 @@ class Interp:
         return result
 
     def _run_loop(self, result: RunResult, max_steps: int) -> None:
+        sched = self.sched
+        pick = sched.pick
+        note_ran = sched.note_ran
+        bus = self.bus
+        stats = self.stats
         steps = 0
         while steps < max_steps and not self._halted:
             try:
-                thread, burst = self.sched.pick()
+                thread, burst = pick()
             except DeadlockError as dead:
                 result.deadlock = str(dead)
                 return
             if thread is None:
                 return  # all threads done
-            # Generator items consumed this burst — the replayable unit
-            # of the context-switch trace (terminal items count: they
-            # advance the generator too).
+            # ``ran`` counts the generator items consumed this burst —
+            # the replayable unit of the context-switch trace (terminal
+            # items count: they advance the generator too).  A burst
+            # also ends once the run reaches ``max_steps``, so a thread
+            # granted an unbounded burst (serial, replay's tail) cannot
+            # spin past the limit.
             ran = 0
             stop_run = False
-            bus = self.bus
-            stats = self.stats
             gen = thread.gen
             burst_start = stats.steps_total
-            for _ in range(burst):
+            for ran in range(1, burst + 1):
                 try:
                     item = next(gen)
-                    ran += 1
                 except StopIteration as stop:
-                    ran += 1
-                    self.sched.finish(thread, stop.value)
+                    sched.finish(thread, stop.value)
                     self._thread_exited(thread)
                     break
                 except ProgramExit as pe:
-                    ran += 1
                     self._exit_code = pe.code
                     self._halted = True
-                    self.sched.finish(thread, pe.code)
+                    sched.finish(thread, pe.code)
                     self._thread_exited(thread)
                     stop_run = True
                     break
                 except TooManyThreads as tmt:
-                    ran += 1
                     result.error = str(tmt)
-                    self.sched.fail(thread, tmt)
+                    sched.fail(thread, tmt)
                     stop_run = True
                     break
                 except InterpError as ie:
-                    ran += 1
                     result.error = str(ie)
-                    self.sched.fail(thread, ie)
+                    sched.fail(thread, ie)
                     self._thread_exited(thread)
                     break
                 if type(item) is int:
@@ -1221,7 +1222,7 @@ class Interp:
                     cost = item
                 elif isinstance(item, tuple) and item:
                     if item[0] == "block":
-                        self.sched.block(thread, item[1], item[2])
+                        sched.block(thread, item[1], item[2])
                         steps += 1
                         break
                     if item[0] == "io":
@@ -1238,13 +1239,15 @@ class Interp:
                     cost = 1
                 steps += cost
                 thread.steps += cost
+                if steps >= max_steps:
+                    break
             if bus is not None and ran:
                 # One slice per scheduler burst: start = step counter
                 # when the burst began, duration = steps it consumed.
                 bus.emit(CAT_SCHED, "run", thread.tid, ts=burst_start,
                          dur=stats.steps_total - burst_start,
                          items=ran)
-            self.sched.note_ran(thread, ran)
+            note_ran(thread, ran)
             if stop_run:
                 return
 

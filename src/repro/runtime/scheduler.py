@@ -30,15 +30,17 @@ context-switch trace (see :attr:`Scheduler.trace`), which is what the
 schedule shrinker uses to re-execute minimized interleavings.
 
 Blocked threads carry a ``ready`` predicate (lock released, condvar
-signalled, join target finished); the scheduler polls predicates when
-picking, which is O(threads) and fine at the paper's thread counts.
+signalled, join target finished).  A pick polls the predicates of the
+blocked threads only, and hands the policy a cached list of the
+runnable ones that is rebuilt only when a thread spawns, blocks, wakes,
+finishes or fails; a pick without such a change costs O(blocked).
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from repro.obs.events import CAT_SCHED, CAT_THREAD
@@ -63,8 +65,6 @@ class Thread:
     block_note: str = ""
     result: object = None
     error: Optional[BaseException] = None
-    #: threads blocked in thread_join on this one
-    joiners: list[int] = field(default_factory=list)
     steps: int = 0
 
 
@@ -88,8 +88,9 @@ class SchedulingPolicy:
 
     def pick(self, candidates: list[Thread],
              sched: "Scheduler") -> tuple[Thread, int]:
-        """Returns (thread, burst length).  ``candidates`` is non-empty
-        and ordered by spawn (tid) order."""
+        """Returns (thread, burst length).  ``candidates`` is non-empty,
+        holds exactly the RUNNABLE threads in spawn (tid) order, and is
+        the scheduler's cached list: read it, never mutate it."""
         raise NotImplementedError
 
     def on_spawn(self, thread: Thread, sched: "Scheduler") -> None:
@@ -201,9 +202,15 @@ class PCTPolicy(SchedulingPolicy):
 
     def pick(self, candidates, sched):
         self._ensure_points(sched)
-        thread = max(candidates,
-                     key=lambda t: (self._priorities.get(t.tid, 0.0),
-                                    -t.tid))
+        # The highest priority, ties to the lowest tid: ``candidates``
+        # is in tid order, so only a strictly higher priority replaces
+        # the best so far.
+        priorities = self._priorities
+        thread, best = None, 0.0
+        for t in candidates:
+            priority = priorities.get(t.tid, 0.0)
+            if thread is None or priority > best:
+                thread, best = t, priority
         if self._change_points:
             remaining = self._change_points[0] - self._items
             burst = max(1, min(sched.max_burst, remaining))
@@ -228,13 +235,14 @@ class PreemptionBoundPolicy(SchedulingPolicy):
     def __init__(self, bound: int = 2, rate: float = 0.05) -> None:
         self.bound = max(0, bound)
         self.rate = rate
-        self._current_tid = 0
+        self._current: Optional[Thread] = None
         self._used = 0
 
     def pick(self, candidates, sched):
-        current = next((t for t in candidates
-                        if t.tid == self._current_tid), None)
-        if current is not None:
+        # ``candidates`` holds exactly the RUNNABLE threads, so the last
+        # pick is still among them iff it is still RUNNABLE.
+        current = self._current
+        if current is not None and current.state is ThreadState.RUNNABLE:
             if self._used < self.bound and \
                     sched.rng.random() < self.rate:
                 others = [t for t in candidates if t is not current]
@@ -244,7 +252,7 @@ class PreemptionBoundPolicy(SchedulingPolicy):
         else:
             # The previous thread blocked or finished: switching is free.
             current = candidates[0]
-        self._current_tid = current.tid
+        self._current = current
         return current, 1
 
 
@@ -319,18 +327,33 @@ class Scheduler:
         self.rng = random.Random(seed)
         self._policy = make_policy(policy)
         self.policy = self._policy.name
+        #: the policy's ``note_ran`` hook, or None when the policy keeps
+        #: the base class's no-op (every built-in policy but PCT)
+        self._policy_note_ran = (
+            self._policy.note_ran
+            if type(self._policy).note_ran is not SchedulingPolicy.note_ran
+            else None)
         self.max_burst = max(1, max_burst)
         self.threads: dict[int, Thread] = {}
         #: insertion-ordered subset of ``threads`` that is still
-        #: RUNNABLE or BLOCKED — the only threads picking ever looks
-        #: at, so per-pick scans stay O(live) instead of O(all-time)
-        #: in thread-churn programs
+        #: RUNNABLE or BLOCKED, so scans stay O(live) instead of
+        #: O(all-time) in thread-churn programs
         self._live: dict[int, Thread] = {}
+        #: the BLOCKED subset of ``_live``: the only threads a pick polls
+        self._blocked: dict[int, Thread] = {}
+        #: the RUNNABLE subset of ``_live`` in tid order, handed to the
+        #: policy at every pick.  Replaced by a new list (never mutated,
+        #: so a list handed out earlier stays as it was) on the first
+        #: pick after a spawn, block, wake, finish or fail.
+        self._runnable: list[Thread] = []
+        self._runnable_stale = False
         self._next_tid = 1
         self.context_switches = 0
         #: merged (tid, items) context-switch trace; None when disabled
         self.trace: Optional[list[tuple[int, int]]] = (
             [] if record_trace else None)
+        #: tid of the trace's last entry (0 while it is empty)
+        self._trace_tid = 0
         self.items_scheduled = 0
         #: number of RUNNABLE + BLOCKED threads, maintained incrementally
         #: so the interpreter's per-access solo test is O(1)
@@ -349,6 +372,7 @@ class Scheduler:
         thread = Thread(tid, gen, name or f"thread{tid}")
         self.threads[tid] = thread
         self._live[tid] = thread
+        self._runnable_stale = True
         self.live_count += 1
         self._policy.on_spawn(thread, self)
         if self.bus is not None:
@@ -360,11 +384,19 @@ class Scheduler:
         thread.state = ThreadState.BLOCKED
         thread.ready = ready
         thread.block_note = note
+        self._blocked[thread.tid] = thread
+        self._runnable_stale = True
 
-    def finish(self, thread: Thread, result: object) -> None:
+    def _retire(self, thread: Thread) -> None:
+        """Drops a finishing thread from the live tables."""
         if thread.state in (ThreadState.RUNNABLE, ThreadState.BLOCKED):
             self.live_count -= 1
             self._live.pop(thread.tid, None)
+            self._blocked.pop(thread.tid, None)
+            self._runnable_stale = True
+
+    def finish(self, thread: Thread, result: object) -> None:
+        self._retire(thread)
         thread.state = ThreadState.DONE
         thread.result = result
         thread.ready = None
@@ -373,9 +405,7 @@ class Scheduler:
                           steps=thread.steps)
 
     def fail(self, thread: Thread, error: BaseException) -> None:
-        if thread.state in (ThreadState.RUNNABLE, ThreadState.BLOCKED):
-            self.live_count -= 1
-            self._live.pop(thread.tid, None)
+        self._retire(thread)
         thread.state = ThreadState.FAILED
         thread.error = error
         thread.ready = None
@@ -385,22 +415,32 @@ class Scheduler:
 
     # -- picking ----------------------------------------------------------------
 
-    def _wake_ready(self) -> None:
-        for thread in self._live.values():
-            if thread.state is ThreadState.BLOCKED and thread.ready is not \
-                    None and thread.ready():
-                thread.state = ThreadState.RUNNABLE
-                thread.ready = None
-                thread.block_note = ""
-
     def runnable(self) -> list[Thread]:
-        self._wake_ready()
-        return [t for t in self._live.values()
-                if t.state is ThreadState.RUNNABLE]
+        """The RUNNABLE threads in tid order, after waking every blocked
+        thread whose predicate now holds.  Callers must not mutate the
+        list: it is the scheduler's cached copy."""
+        if self._blocked:
+            woken = None
+            for thread in self._blocked.values():
+                if thread.ready is not None and thread.ready():
+                    if woken is None:
+                        woken = []
+                    woken.append(thread)
+            if woken is not None:
+                for thread in woken:
+                    thread.state = ThreadState.RUNNABLE
+                    thread.ready = None
+                    thread.block_note = ""
+                    del self._blocked[thread.tid]
+                self._runnable_stale = True
+        if self._runnable_stale:
+            self._runnable = [t for t in self._live.values()
+                              if t.state is ThreadState.RUNNABLE]
+            self._runnable_stale = False
+        return self._runnable
 
     def live(self) -> list[Thread]:
-        return [t for t in self._live.values()
-                if t.state in (ThreadState.RUNNABLE, ThreadState.BLOCKED)]
+        return list(self._live.values())
 
     def pick(self) -> tuple[Optional[Thread], int]:
         """Chooses (thread, burst length).  Returns (None, 0) when no
@@ -408,18 +448,20 @@ class Scheduler:
         :meth:`live`."""
         candidates = self.runnable()
         if not candidates:
-            if self.live():
+            if self._live:
                 raise DeadlockError(
                     "deadlock: " + ", ".join(
                         f"{t.name}({t.block_note})" for t in self.live()))
             return None, 0
         self.context_switches += 1
         thread, burst = self._policy.pick(candidates, self)
-        if self.bus is not None and thread.tid != self._last_run_tid:
-            self.bus.emit(CAT_SCHED, "switch", thread.tid,
-                          prev=self._last_run_tid, runnable=len(candidates))
-        self._last_run_tid = thread.tid
-        return thread, max(1, burst)
+        if thread.tid != self._last_run_tid:
+            if self.bus is not None:
+                self.bus.emit(CAT_SCHED, "switch", thread.tid,
+                              prev=self._last_run_tid,
+                              runnable=len(candidates))
+            self._last_run_tid = thread.tid
+        return thread, burst if burst > 1 else 1
 
     def note_ran(self, thread: Thread, items: int) -> None:
         """Interpreter feedback: ``thread`` consumed ``items`` generator
@@ -428,13 +470,16 @@ class Scheduler:
         if items <= 0:
             return
         self.items_scheduled += items
-        if self.trace is not None:
-            if self.trace and self.trace[-1][0] == thread.tid:
-                self.trace[-1] = (thread.tid,
-                                  self.trace[-1][1] + items)
+        trace = self.trace
+        if trace is not None:
+            tid = thread.tid
+            if tid == self._trace_tid:
+                trace[-1] = (tid, trace[-1][1] + items)
             else:
-                self.trace.append((thread.tid, items))
-        self._policy.note_ran(thread, items, self)
+                trace.append((tid, items))
+                self._trace_tid = tid
+        if self._policy_note_ran is not None:
+            self._policy_note_ran(thread, items, self)
 
     def trace_switches(self) -> int:
         """Context switches in the recorded trace (adjacent entries have

@@ -242,6 +242,15 @@ class TestPinnedBehaviour:
         ('x = "ab\\xg";', "empty hex escape", 1, 5),
         ('\n  "\\q"', "unknown escape \\q", 2, 3),
         ("'\\", "unknown escape \\", 1, 1),
+        # a backslash before a newline (C's line continuation) or another
+        # unprintable character still makes a one-line message
+        ('s = "a\\\nb";', "line continuation inside a string literal "
+         "is not supported", 1, 5),
+        ('s = "a\\\r\nb";', "line continuation inside a string literal "
+         "is not supported", 1, 5),
+        ("'\\\n'", "line continuation inside a character literal is "
+         "not supported", 1, 1),
+        ('"\\\t"', "unknown escape \\ followed by '\\t'", 1, 1),
         ('a "abc\nb"', "unterminated string literal", 1, 3),
         ('"abc', "unterminated string literal", 1, 1),
         ("  'ab'", "unterminated character literal", 1, 3),

@@ -136,6 +136,8 @@ class TestMalformedInput:
         ("int x = 0x;\n", "1:9: hex literal '0x' has no digits"),
         ("int main() {\n  return 0; /* open\n", "2:13: unterminated "
                                                  "block comment"),
+        ('char *s = "a\\\nb";\n', "1:11: line continuation inside a "
+                                   "string literal is not supported"),
     ])
     def test_syntax_error(self, command, source, where, tmp_path, capsys):
         path = tmp_path / "bad.c"

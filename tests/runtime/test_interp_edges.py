@@ -1,9 +1,48 @@
 """Interpreter edge-case tests: the corners that bite."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from tests.conftest import check_ok, run_clean, run_ok
-from repro.runtime.interp import run_checked
+from repro.runtime.interp import BACKENDS, run_checked
+
+#: main joins a worker that spins until main sets the flag it waits on
+SPIN = """
+int flag;
+
+void *worker(void *arg) {
+  while (flag == 0) {}
+  return NULL;
+}
+
+int main() {
+  int t;
+  t = thread_create(worker, NULL);
+  thread_join(t);
+  flag = 1;
+  return 0;
+}
+"""
+
+
+def _bounded_child(script: str, seconds: float = 60.0) -> str:
+    """Runs ``script`` in a fresh interpreter and returns its stdout;
+    fails the test if it runs longer than ``seconds``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True,
+                              timeout=seconds)
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"still running after {seconds:.0f} s")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestCompoundOps:
@@ -189,6 +228,39 @@ class TestMisc:
         checked = check_ok("int main() { while (1) ; return 0; }")
         result = run_checked(checked, max_steps=500)
         assert result.timeout
+
+    @pytest.mark.parametrize("policy", ["serial", "replay-tail"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_max_steps_ends_an_unbounded_burst(self, policy, backend):
+        # serial and the tail of a replay grant bursts of 1<<30 items; a
+        # thread spinning inside one must still stop at max_steps.  The
+        # run happens in a child process under a time bound, so a
+        # reintroduced hang fails here instead of stalling the suite.
+        out = _bounded_child(f"""
+from repro.runtime.interp import run_checked
+from repro.runtime.scheduler import ReplayPolicy
+from repro.sharc.checker import check_source
+policy = {policy!r}
+if policy == "replay-tail":
+    policy = ReplayPolicy([(1, 1)])
+result = run_checked(check_source({SPIN!r}, "spin.c"), policy=policy,
+                     max_steps=20000, backend={backend!r})
+print(result.timeout, result.stats.steps_total)
+""")
+        timeout, steps = out.split()
+        assert timeout == "True"
+        assert 20000 <= int(steps) < 20100
+
+    def test_pct_horizon_probe_of_a_spinning_program_ends(self, tmp_path):
+        # The PCT horizon is measured with one serial run.
+        path = tmp_path / "spin.c"
+        path.write_text(SPIN)
+        out = _bounded_child(f"""
+from repro.cli import main
+print(main(["explore", {str(path)!r}, "--policy", "pct",
+            "--max-steps", "5000", "--seeds", "2", "--quiet"]))
+""")
+        assert out.split()[-1] == "0"
 
     def test_float_to_int_cast_truncates(self):
         assert run_clean("""

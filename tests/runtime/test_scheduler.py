@@ -1,9 +1,15 @@
 """Tests for the deterministic thread scheduler."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from tests.conftest import check_ok
+from tests.runtime.test_traced_identity import CALLS_PROGRAM
+from repro.obs import TraceConfig
+from repro.obs.events import CAT_THREAD
+from repro.runtime.interp import BACKENDS, make_interp
 from repro.runtime.scheduler import (
-    DeadlockError, Scheduler, ThreadState,
+    POLICY_NAMES, DeadlockError, Scheduler, ThreadState,
 )
 
 
@@ -282,3 +288,76 @@ class TestTraceRecording:
         sched.note_ran(t1, 3)
         assert sched.trace is None
         assert sched.trace_switches() == 0
+
+
+class TestCachedRunnableSet:
+    """The scheduler keeps the runnable candidates cached and polls only
+    blocked threads; after any sequence of lifecycle operations that
+    must equal a full scan of the thread table."""
+
+    OPS = st.lists(st.tuples(
+        st.sampled_from(["spawn", "block", "toggle", "finish", "fail",
+                         "pick"]),
+        st.integers(0, 7)), max_size=60)
+
+    @given(ops=OPS, policy=st.sampled_from(POLICY_NAMES),
+           seed=st.integers(0, 3))
+    def test_matches_full_scan(self, ops, policy, seed):
+        sched = Scheduler(seed=seed, policy=policy)
+        flags = [False] * 8
+        handed_out = []
+        for op, n in ops:
+            threads = list(sched.threads.values())
+            thread = threads[n % len(threads)] if threads else None
+            if op == "spawn" or thread is None:
+                sched.spawn(counting_gen(100))
+            elif op == "block":
+                if thread.state is ThreadState.RUNNABLE:
+                    sched.block(thread, lambda i=n: flags[i], f"f{n}")
+            elif op == "toggle":
+                flags[n] = not flags[n]
+            elif op == "finish":
+                sched.finish(thread, None)
+            elif op == "fail":
+                sched.fail(thread, RuntimeError("x"))
+            else:
+                try:
+                    picked, _ = sched.pick()
+                except DeadlockError:
+                    picked = None
+                if picked is not None:
+                    sched.note_ran(picked, 1)
+            woken = [t for t in sched.threads.values()
+                     if t.state is ThreadState.BLOCKED and t.ready()]
+            candidates = sched.runnable()
+            assert all(t.state is ThreadState.RUNNABLE for t in woken)
+            assert candidates == [t for t in sched.threads.values()
+                                  if t.state is ThreadState.RUNNABLE]
+            assert sched.live() == [
+                t for t in sched.threads.values()
+                if t.state in (ThreadState.RUNNABLE, ThreadState.BLOCKED)]
+            assert sched.live_count == len(sched.live())
+            assert set(sched._blocked) == {
+                t.tid for t in sched.threads.values()
+                if t.state is ThreadState.BLOCKED}
+            assert not any(t.ready() for t in sched.threads.values()
+                           if t.state is ThreadState.BLOCKED)
+            handed_out.append((candidates, list(candidates)))
+        # a list handed to a caller is never changed afterwards
+        for given_list, copy in handed_out:
+            assert given_list == copy
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_exit_event_carries_final_thread_steps(backend):
+    # Threads finish in the middle of a burst; the bus ``exit`` event
+    # must still report every step the thread ran.
+    interp = make_interp(check_ok(CALLS_PROGRAM), backend=backend, seed=3,
+                         trace=TraceConfig())
+    result = interp.run()
+    exits = {e.tid: e.args["steps"] for e in result.events
+             if e.cat == CAT_THREAD and e.name == "exit"}
+    threads = interp.sched.threads
+    assert sorted(exits) == sorted(threads) and len(exits) == 3
+    assert exits == {tid: t.steps for tid, t in threads.items()}
+    assert exits[2] > 0 and exits[3] > 0  # the two workers
